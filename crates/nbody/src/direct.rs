@@ -7,44 +7,39 @@
 //! the correctness oracle for the tree code and the "FP-only" baseline
 //! workload for the performance model.
 
-use crate::kernel::{interact, Source};
+use crate::kernel::{accumulate_lanes, LaneSums, SinkLanes, Source, LANES};
 use crate::particles::ParticleSet;
 use crate::vec3::{Real, Vec3};
 
 /// Compute accelerations and potentials of `sinks` positions due to all
-/// `sources`, serially. Returns (acc, pot) vectors.
+/// `sources`, serially, [`LANES`] sinks per lane block. Returns (acc, pot)
+/// vectors.
 pub fn direct_serial(sinks: &[Vec3], sources: &[Source], eps2: Real) -> (Vec<Vec3>, Vec<Real>) {
-    let mut acc = vec![Vec3::ZERO; sinks.len()];
-    let mut pot = vec![0.0; sinks.len()];
-    for (i, &p) in sinks.iter().enumerate() {
-        let mut a = Vec3::ZERO;
-        let mut ph = 0.0;
-        for &s in sources {
-            let o = interact(p, s, eps2);
-            a += o.acc;
-            ph += o.pot;
-        }
-        acc[i] = a;
-        pot[i] = ph;
-    }
-    (acc, pot)
+    let blocks: Vec<LaneSums> = sinks
+        .chunks(LANES)
+        .map(|block| direct_block(block, sources, eps2))
+        .collect();
+    blocks
+        .iter()
+        .flat_map(LaneSums::iter)
+        .map(|o| (o.acc, o.pot))
+        .unzip()
 }
 
-/// Parallel direct summation over sinks (work-stealing pool).
+/// Parallel direct summation, one pool task per lane block of sinks.
+/// Each sink sums the sources in the same order as [`direct_serial`], so
+/// the two agree bit for bit.
 pub fn direct_parallel(sinks: &[Vec3], sources: &[Source], eps2: Real) -> (Vec<Vec3>, Vec<Real>) {
-    let results: Vec<(Vec3, Real)> = parallel::par_map(sinks, |&p| {
-        let mut a = Vec3::ZERO;
-        let mut ph = 0.0;
-        for &s in sources {
-            let o = interact(p, s, eps2);
-            a += o.acc;
-            ph += o.pot;
-        }
-        (a, ph)
-    });
-    let acc = results.iter().map(|r| r.0).collect();
-    let pot = results.iter().map(|r| r.1).collect();
-    (acc, pot)
+    let blocks = parallel::map_chunks(sinks, LANES, |_, block| direct_block(block, sources, eps2));
+    blocks
+        .iter()
+        .flat_map(LaneSums::iter)
+        .map(|o| (o.acc, o.pot))
+        .unzip()
+}
+
+fn direct_block(block: &[Vec3], sources: &[Source], eps2: Real) -> LaneSums {
+    accumulate_lanes(&SinkLanes::load(block.iter().copied()), sources, eps2)
 }
 
 /// Evaluate self-gravity of a particle set with direct summation and store
@@ -72,6 +67,7 @@ pub const FLOPS_PER_INTERACTION: u64 = 24;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::accumulate;
     use prng::prelude::*;
 
     fn random_set(n: usize, seed: u64) -> ParticleSet {
@@ -107,6 +103,31 @@ mod tests {
         for i in 0..ps.len() {
             assert!((a1[i] - a2[i]).norm() < 1e-6);
             assert!((p1[i] - p2[i]).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn direct_sums_match_scalar_reference_bitwise() {
+        // 100 sinks: three full lane blocks and a partial one.
+        let ps = random_set(100, 5);
+        let sources: Vec<Source> = ps
+            .pos
+            .iter()
+            .zip(&ps.mass)
+            .map(|(&pos, &mass)| Source { pos, mass })
+            .collect();
+        let (a1, p1) = direct_serial(&ps.pos, &sources, 1e-4);
+        let (a2, p2) = direct_parallel(&ps.pos, &sources, 1e-4);
+        assert_eq!(a1.len(), ps.len());
+        for i in 0..ps.len() {
+            let r = accumulate(ps.pos[i], &sources, 1e-4);
+            for (a, p) in [(a1[i], p1[i]), (a2[i], p2[i])] {
+                assert_eq!(
+                    [a.x, a.y, a.z, p].map(f32::to_bits),
+                    [r.acc.x, r.acc.y, r.acc.z, r.pot].map(f32::to_bits),
+                    "sink {i}"
+                );
+            }
         }
     }
 

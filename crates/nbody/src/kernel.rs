@@ -11,6 +11,13 @@
 //! with G = 1 in simulation units. The instruction mix of this kernel is
 //! what the paper counts with nvprof (Fig. 6); the equivalent per-event
 //! mix table lives in `gpu-model::events`.
+//!
+//! Eq. 1 is written once, in [`interact`]. Two loops drive it: the scalar
+//! [`accumulate`] (one sink, the reference) and the warp-shaped
+//! [`accumulate_lanes`], which holds up to 32 sinks in structure-of-arrays
+//! lanes and broadcasts each source to all of them — the layout of a warp
+//! sharing one interaction list. Every lane sums in the same order as
+//! `accumulate`, so the two agree bit for bit.
 
 use crate::vec3::{Real, Vec3};
 
@@ -47,13 +54,14 @@ impl AccPot {
 pub fn interact(sink: Vec3, src: Source, eps2: Real) -> AccPot {
     let d = src.pos - sink;
     let r2 = eps2 + d.norm2();
-    if r2 <= 0.0 {
-        // Exact overlap with zero softening: define the contribution as
-        // zero rather than dividing by zero (only reachable in unsoftened
-        // test configurations; the GPU kernel always runs with ε² > 0).
-        return AccPot::default();
-    }
-    let rinv = 1.0 / r2.sqrt(); // device: rsqrtf(r2)
+    // Exact overlap with zero softening contributes zero rather than
+    // dividing by zero (only reachable in unsoftened test configurations;
+    // the GPU kernel always runs with ε² > 0). A select, not an early
+    // return, so the lane loop of [`accumulate_lanes`] stays vectorized;
+    // the zero it yields may carry a negative sign, which leaves every
+    // sum that starts at +0.0 unchanged. `r2 <= 0.0` (not `r2 > 0.0`)
+    // keeps a NaN `r2` on the compute path, so NaN input still yields NaN.
+    let rinv = if r2 <= 0.0 { 0.0 } else { 1.0 / r2.sqrt() }; // device: rsqrtf(r2)
     let rinv2 = rinv * rinv;
     let m_rinv = src.mass * rinv;
     let m_rinv3 = m_rinv * rinv2;
@@ -63,13 +71,131 @@ pub fn interact(sink: Vec3, src: Source, eps2: Real) -> AccPot {
     }
 }
 
-/// Accumulate the gravity of a list of sources onto one sink. This mirrors
-/// the "flush the interaction list" inner loop of `walkTree`.
+/// Accumulate the gravity of a list of sources onto one sink, in list
+/// order from +0.0. This is the scalar reference for [`accumulate_lanes`],
+/// which must reproduce it bit for bit in every lane. It is no longer the
+/// `walkTree` flush loop: its callers are the per-particle walk
+/// (`octree::walk_tree_individual`) and the `perfbench` flush probe.
 #[inline]
 pub fn accumulate(sink: Vec3, sources: &[Source], eps2: Real) -> AccPot {
     let mut out = AccPot::default();
     for &s in sources {
         out.add(interact(sink, s, eps2));
+    }
+    out
+}
+
+/// Sinks per lane block — one warp's worth, the group size of `walkTree`.
+pub const LANES: usize = 32;
+
+/// Up to [`LANES`] sink positions in structure-of-arrays lanes: the
+/// register layout of one warp, where lane `k` owns sink `k`.
+#[derive(Clone, Copy, Debug)]
+pub struct SinkLanes {
+    x: [Real; LANES],
+    y: [Real; LANES],
+    z: [Real; LANES],
+    /// Lanes holding a real sink; the rest are padding.
+    active: usize,
+}
+
+impl SinkLanes {
+    /// Load `sinks` (at most [`LANES`]) into lanes `0..sinks.len()`. The
+    /// remaining lanes repeat the first sink so they compute ordinary
+    /// values that are then discarded.
+    pub fn load(sinks: impl ExactSizeIterator<Item = Vec3>) -> SinkLanes {
+        let active = sinks.len();
+        assert!(
+            (1..=LANES).contains(&active),
+            "lane block holds 1..={LANES} sinks, got {active}"
+        );
+        let mut lanes = SinkLanes {
+            x: [0.0; LANES],
+            y: [0.0; LANES],
+            z: [0.0; LANES],
+            active,
+        };
+        for (k, p) in sinks.enumerate() {
+            lanes.x[k] = p.x;
+            lanes.y[k] = p.y;
+            lanes.z[k] = p.z;
+        }
+        for k in active..LANES {
+            lanes.x[k] = lanes.x[0];
+            lanes.y[k] = lanes.y[0];
+            lanes.z[k] = lanes.z[0];
+        }
+        lanes
+    }
+
+    /// Number of lanes holding a real sink.
+    pub fn active(&self) -> usize {
+        self.active
+    }
+}
+
+/// Per-lane acceleration and potential sums of a [`SinkLanes`] block.
+#[derive(Clone, Copy, Debug)]
+pub struct LaneSums {
+    ax: [Real; LANES],
+    ay: [Real; LANES],
+    az: [Real; LANES],
+    pot: [Real; LANES],
+    active: usize,
+}
+
+impl LaneSums {
+    /// All-zero sums for the lanes of `sinks`.
+    pub fn zero(sinks: &SinkLanes) -> LaneSums {
+        LaneSums {
+            ax: [0.0; LANES],
+            ay: [0.0; LANES],
+            az: [0.0; LANES],
+            pot: [0.0; LANES],
+            active: sinks.active,
+        }
+    }
+
+    /// Lane-wise `self += o`, the same per-sink addition as [`AccPot::add`].
+    #[inline]
+    pub fn add(&mut self, o: &LaneSums) {
+        for k in 0..LANES {
+            self.ax[k] += o.ax[k];
+            self.ay[k] += o.ay[k];
+            self.az[k] += o.az[k];
+            self.pot[k] += o.pot[k];
+        }
+    }
+
+    /// The sums of the real sinks, in lane order; padding is dropped.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = AccPot> + '_ {
+        (0..self.active).map(|k| AccPot {
+            acc: Vec3::new(self.ax[k], self.ay[k], self.az[k]),
+            pot: self.pot[k],
+        })
+    }
+}
+
+/// Accumulate the gravity of a list of sources onto a block of sinks —
+/// the warp-shaped interaction-list flush of `walkTree`. Each source is
+/// broadcast to all [`LANES`] lanes and every lane sums the list in order
+/// from +0.0, so lane `k` equals `accumulate(sink_k, sources, eps2)` bit
+/// for bit; the loop over lanes is what vectorizes.
+///
+/// Never inlined: one call covers a whole list (thousands of
+/// interactions), and a stand-alone symbol lets CI check that this loop
+/// compiles to packed arithmetic.
+#[inline(never)]
+pub fn accumulate_lanes(sinks: &SinkLanes, sources: &[Source], eps2: Real) -> LaneSums {
+    let mut out = LaneSums::zero(sinks);
+    for &s in sources {
+        for k in 0..LANES {
+            let o = interact(Vec3::new(sinks.x[k], sinks.y[k], sinks.z[k]), s, eps2);
+            out.ax[k] += o.acc.x;
+            out.ay[k] += o.acc.y;
+            out.az[k] += o.acc.z;
+            out.pot[k] += o.pot;
+        }
     }
     out
 }

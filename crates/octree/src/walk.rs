@@ -15,16 +15,19 @@
 //!
 //! This module reproduces that traversal on the host, one pool task per
 //! warp-group, and records the event counts ([`WalkEvents`]) the
-//! performance model consumes.
+//! performance model consumes. The flush keeps the warp's shape: the
+//! group's sinks sit in the lanes of a `SinkLanes` block for the whole
+//! traversal, and `accumulate_lanes` streams the list through them.
 
 use crate::mac::Mac;
 use crate::tree::Octree;
 use gpu_model::WalkEvents;
-use nbody::kernel::{accumulate, Source};
+use nbody::kernel::{accumulate, accumulate_lanes, LaneSums, SinkLanes, Source, LANES};
 use nbody::{Real, Vec3};
 
-/// Lanes per warp — fixed by the hardware the paper targets.
-pub const WARP_SIZE: usize = 32;
+/// Lanes per warp — fixed by the hardware the paper targets, and the
+/// width of the flush's lane block.
+pub const WARP_SIZE: usize = LANES;
 
 /// Tree-walk parameters.
 #[derive(Clone, Copy, Debug)]
@@ -78,24 +81,24 @@ pub fn walk_tree(
     // One pool task per warp-group; the fixed WARP_SIZE chunking and the
     // serial chunk-ordered merge below keep the result bit-identical at
     // any thread count.
-    let group_results: Vec<(Vec<Vec3>, Vec<Real>, WalkEvents)> =
+    let group_results: Vec<(LaneSums, WalkEvents)> =
         parallel::map_chunks(active, WARP_SIZE, |_, group| {
             walk_group(tree, pos, mass_arr, acc_old, group, cfg)
         });
 
-    let n = active.len();
-    let mut acc = Vec::with_capacity(n);
-    let mut pot = Vec::with_capacity(n);
+    let (acc, pot) = group_results
+        .iter()
+        .flat_map(|(sums, _)| sums.iter())
+        .map(|o| (o.acc, o.pot))
+        .unzip();
     let mut events = WalkEvents::default();
-    for (ga, gp, ge) in group_results {
-        acc.extend_from_slice(&ga);
-        pot.extend_from_slice(&gp);
-        events.merge(&ge);
+    for (_, ge) in &group_results {
+        events.merge(ge);
     }
     WalkResult { acc, pot, events }
 }
 
-/// One warp-group's traversal.
+/// One warp-group's traversal; returns the group's sums in lane order.
 fn walk_group(
     tree: &Octree,
     pos: &[Vec3],
@@ -103,7 +106,7 @@ fn walk_group(
     acc_old: &[Real],
     group: &[u32],
     cfg: &WalkConfig,
-) -> (Vec<Vec3>, Vec<Real>, WalkEvents) {
+) -> (LaneSums, WalkEvents) {
     let mut events = WalkEvents {
         groups: 1,
         sinks: group.len() as u64,
@@ -128,8 +131,10 @@ fn walk_group(
         radius = radius.max((pos[i as usize] - center).norm());
     }
 
-    let mut acc = vec![Vec3::ZERO; group.len()];
-    let mut pot = vec![0.0 as Real; group.len()];
+    // The warp's registers: one sink per lane, loaded once per group and
+    // reused by every flush.
+    let lanes = SinkLanes::load(group.iter().map(|&i| pos[i as usize]));
+    let mut sums = LaneSums::zero(&lanes);
     let mut list: Vec<Source> = Vec::with_capacity(cfg.list_cap);
 
     // Breadth-first queue over node ids; `head` advances instead of
@@ -167,10 +172,8 @@ fn walk_group(
                     },
                     &mut list,
                     cfg,
-                    group,
-                    pos,
-                    &mut acc,
-                    &mut pot,
+                    &lanes,
+                    &mut sums,
                     &mut events,
                 );
             } else if tree.is_leaf(v) {
@@ -182,10 +185,8 @@ fn walk_group(
                         },
                         &mut list,
                         cfg,
-                        group,
-                        pos,
-                        &mut acc,
-                        &mut pot,
+                        &lanes,
+                        &mut sums,
                         &mut events,
                     );
                 }
@@ -200,11 +201,11 @@ fn walk_group(
 
     // Final (partial) flush.
     if !list.is_empty() {
-        flush(&list, group, pos, &mut acc, &mut pot, cfg.eps2, &mut events);
+        flush(&list, &lanes, &mut sums, cfg.eps2, &mut events);
         list.clear();
     }
     record_walk_counters(&events);
-    (acc, pot, events)
+    (sums, events)
 }
 
 /// Publish one group's event counts to the telemetry registry. Runs on
@@ -222,43 +223,35 @@ fn record_walk_counters(events: &WalkEvents) {
 }
 
 /// Append one source, flushing the shared list at capacity.
-#[allow(clippy::too_many_arguments)]
 #[inline]
 fn push_source(
     src: Source,
     list: &mut Vec<Source>,
     cfg: &WalkConfig,
-    group: &[u32],
-    pos: &[Vec3],
-    acc: &mut [Vec3],
-    pot: &mut [Real],
+    lanes: &SinkLanes,
+    sums: &mut LaneSums,
     events: &mut WalkEvents,
 ) {
     list.push(src);
     events.list_pushes += 1;
     if list.len() == cfg.list_cap {
-        flush(list, group, pos, acc, pot, cfg.eps2, events);
+        flush(list, lanes, sums, cfg.eps2, events);
         list.clear();
     }
 }
 
-/// Flush: every sink accumulates Eq. 1 over all list entries.
+/// Flush: every lane accumulates Eq. 1 over all list entries from +0.0,
+/// then adds that partial sum to its running total.
 fn flush(
     list: &[Source],
-    group: &[u32],
-    pos: &[Vec3],
-    acc: &mut [Vec3],
-    pot: &mut [Real],
+    lanes: &SinkLanes,
+    sums: &mut LaneSums,
     eps2: Real,
     events: &mut WalkEvents,
 ) {
     events.flushes += 1;
-    events.interactions += (group.len() * list.len()) as u64;
-    for (k, &i) in group.iter().enumerate() {
-        let out = accumulate(pos[i as usize], list, eps2);
-        acc[k] += out.acc;
-        pot[k] += out.pot;
-    }
+    events.interactions += (lanes.active() * list.len()) as u64;
+    sums.add(&accumulate_lanes(lanes, list, eps2));
 }
 
 #[cfg(test)]
@@ -410,6 +403,35 @@ mod tests {
         assert_eq!(ev.interactions, 32 * ev.list_pushes);
         assert!(ev.queue_rounds >= ev.groups);
         assert!(ev.peak_queue_len > 0);
+    }
+
+    /// FNV-1a 64 over the raw bits of every walked `acc` and `pot`.
+    fn force_digest(res: &WalkResult) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let words = res
+            .acc
+            .iter()
+            .flat_map(|a| [a.x, a.y, a.z])
+            .chain(res.pot.iter().copied());
+        for w in words {
+            for byte in w.to_bits().to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn walk_forces_match_pinned_digest() {
+        // Any change to Eq. 1's arithmetic or to the per-sink summation
+        // order shows here; the bits must hold at any thread count.
+        let (_, res, _, _) = forces_fixture(4096, Mac::fiducial());
+        assert_eq!(
+            force_digest(&res),
+            0x74be_8095_c012_53d7,
+            "walk force digest changed"
+        );
     }
 
     #[test]

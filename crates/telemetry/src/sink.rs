@@ -148,11 +148,6 @@ pub fn init_trace_memory() {
     install(Target::Memory(Vec::new()), TraceFormat::JsonLines);
 }
 
-/// Install an in-memory sink with an explicit format (tests).
-pub fn init_trace_memory_with(format: TraceFormat) {
-    install(Target::Memory(Vec::new()), format);
-}
-
 /// True when a sink is installed.
 pub fn trace_active() -> bool {
     lock().is_some()
