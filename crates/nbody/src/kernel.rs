@@ -182,11 +182,43 @@ impl LaneSums {
 /// from +0.0, so lane `k` equals `accumulate(sink_k, sources, eps2)` bit
 /// for bit; the loop over lanes is what vectorizes.
 ///
+/// The lane loop is compiled twice on x86-64 and picked at run time: an
+/// AVX2 build (8 lanes per instruction) when the CPU reports `avx2`, and
+/// the baseline SSE build (4 lanes) otherwise. Both give the same bits:
+/// sub, mul, add, `sqrt` and div are correctly rounded at any width, and
+/// no multiply is fused into an add (Rust does not contract, and `fma`
+/// is not enabled). Other architectures compile only the baseline build.
+///
 /// Never inlined: one call covers a whole list (thousands of
-/// interactions), and a stand-alone symbol lets CI check that this loop
+/// interactions), and stand-alone symbols let CI check that each build
 /// compiles to packed arithmetic.
 #[inline(never)]
 pub fn accumulate_lanes(sinks: &SinkLanes, sources: &[Source], eps2: Real) -> LaneSums {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `accumulate_lanes_avx2` only requires the `avx2` target
+        // feature, and the CPU running this code has just reported it.
+        return unsafe { accumulate_lanes_avx2(sinks, sources, eps2) };
+    }
+    accumulate_lanes_body(sinks, sources, eps2)
+}
+
+/// [`accumulate_lanes`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+unsafe fn accumulate_lanes_avx2(sinks: &SinkLanes, sources: &[Source], eps2: Real) -> LaneSums {
+    accumulate_lanes_body(sinks, sources, eps2)
+}
+
+/// The lane loop shared by every build of [`accumulate_lanes`]; inlined
+/// so that each caller compiles it for its own target features.
+#[inline(always)]
+fn accumulate_lanes_body(sinks: &SinkLanes, sources: &[Source], eps2: Real) -> LaneSums {
     let mut out = LaneSums::zero(sinks);
     for &s in sources {
         for k in 0..LANES {
@@ -215,6 +247,8 @@ pub fn self_potential(mass: Real, eps2: Real) -> Real {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prng::Rng;
+    use testkit::{check, Gen};
 
     #[test]
     fn unsoftened_matches_newton() {
@@ -294,5 +328,170 @@ mod tests {
         let hard = interact(Vec3::ZERO, src, 0.0);
         let soft = interact(Vec3::ZERO, src, 0.5);
         assert!(soft.acc.norm() < hard.acc.norm());
+    }
+
+    type LaneFlush = fn(&SinkLanes, &[Source], Real) -> LaneSums;
+
+    /// The public dispatcher and every compiled build of the lane loop
+    /// this CPU can run, so a host with AVX2 still tests the baseline.
+    fn lane_builds() -> Vec<(&'static str, LaneFlush)> {
+        let mut builds: Vec<(&'static str, LaneFlush)> = vec![
+            ("accumulate_lanes", accumulate_lanes),
+            ("baseline", accumulate_lanes_body),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            builds.push(("avx2", |sinks, sources, eps2| {
+                // SAFETY: pushed only after the CPU reported `avx2`.
+                unsafe { accumulate_lanes_avx2(sinks, sources, eps2) }
+            }));
+        }
+        builds
+    }
+
+    /// Eq. 1 as it was written before the select: an early return on
+    /// `r2 <= 0`. The select form must reproduce its sums exactly.
+    fn interact_early_return(sink: Vec3, src: Source, eps2: Real) -> AccPot {
+        let d = src.pos - sink;
+        let r2 = eps2 + d.norm2();
+        if r2 <= 0.0 {
+            return AccPot::default();
+        }
+        let rinv = 1.0 / r2.sqrt();
+        let m_rinv = src.mass * rinv;
+        AccPot {
+            acc: d * (m_rinv * (rinv * rinv)),
+            pot: -m_rinv,
+        }
+    }
+
+    fn bits(o: AccPot) -> [u32; 4] {
+        [o.acc.x, o.acc.y, o.acc.z, o.pot].map(Real::to_bits)
+    }
+
+    /// Equal bits, or NaN on both sides (NaN payloads are not part of the
+    /// contract).
+    fn same(a: AccPot, b: AccPot) -> bool {
+        let (a, b) = (bits(a), bits(b));
+        a.iter()
+            .zip(&b)
+            .all(|(&x, &y)| x == y || (Real::from_bits(x).is_nan() && Real::from_bits(y).is_nan()))
+    }
+
+    fn point(g: &mut Gen) -> Vec3 {
+        let mut c = || g.rng().random::<Real>() * 2.0 - 1.0;
+        Vec3::new(c(), c(), c())
+    }
+
+    /// Run every lane build on `sinks` and compare each lane with the
+    /// scalar reference, which must itself equal the early-return form;
+    /// returns the reference sums.
+    fn assert_lanes_match(sinks: &[Vec3], sources: &[Source], eps2: Real) -> Vec<AccPot> {
+        let want: Vec<AccPot> = sinks
+            .iter()
+            .map(|&sink| {
+                let want = accumulate(sink, sources, eps2);
+                let mut old = AccPot::default();
+                for &s in sources {
+                    old.add(interact_early_return(sink, s, eps2));
+                }
+                assert!(same(want, old), "select form differs from early return");
+                want
+            })
+            .collect();
+        let lanes = SinkLanes::load(sinks.iter().copied());
+        for (build, flush) in lane_builds() {
+            let got: Vec<AccPot> = flush(&lanes, sources, eps2).iter().collect();
+            assert_eq!(
+                got.len(),
+                sinks.len(),
+                "{build}: padding lanes must be dropped"
+            );
+            for (k, (&got, &want)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    same(got, want),
+                    "{build}: lane {k}/{} of a {}-source list, eps2 = {eps2}: {got:?} vs {want:?}",
+                    sinks.len(),
+                    sources.len()
+                );
+            }
+        }
+        want
+    }
+
+    #[test]
+    fn lanes_match_scalar_reference_for_every_list_length() {
+        // One case per list length 1..=300; the active lane count cycles
+        // through 1..=32 so partial blocks of every size are covered.
+        let mut len = 0usize;
+        check("lanes_match_scalar_reference", 300, |g| {
+            len += 1;
+            let active = (len - 1) % LANES + 1;
+            let eps2 = match g.usize_in(0..4) {
+                0 => 0.0,
+                1 => 1e-6,
+                2 => 1e-4,
+                _ => g.f64_unit() as Real * 0.1,
+            };
+            let sinks: Vec<Vec3> = (0..active).map(|_| point(g)).collect();
+            let mut sources: Vec<Source> = (0..len)
+                .map(|_| Source {
+                    pos: point(g),
+                    mass: g.f64_unit() as Real,
+                })
+                .collect();
+            // Half the cases put a source exactly on a sink.
+            if g.usize_in(0..2) == 0 {
+                let s = g.usize_in(0..len);
+                sources[s].pos = sinks[g.usize_in(0..active)];
+            }
+            assert_lanes_match(&sinks, &sources, eps2);
+        });
+    }
+
+    #[test]
+    fn coincident_sink_without_softening_contributes_zero() {
+        let sink = Vec3::new(0.25, -0.5, 0.75);
+        let sources = [
+            Source {
+                pos: Vec3::new(1.0, 0.0, 0.0),
+                mass: 0.5,
+            },
+            Source {
+                pos: sink,
+                mass: 2.0,
+            },
+            Source {
+                pos: Vec3::new(0.0, -1.0, 0.5),
+                mass: 1.5,
+            },
+        ];
+        let out = assert_lanes_match(&[sink, Vec3::new(-1.0, 2.0, 0.0)], &sources, 0.0);
+        assert!(out[0].acc.is_finite() && out[0].pot.is_finite());
+        // The coincident source adds exactly nothing.
+        let others = assert_lanes_match(&[sink], &[sources[0], sources[2]], 0.0);
+        assert_eq!(bits(out[0]), bits(others[0]));
+    }
+
+    #[test]
+    fn nan_source_position_still_yields_nan() {
+        let sinks: Vec<Vec3> = (0..LANES)
+            .map(|k| Vec3::new(k as Real, 0.5, -0.5))
+            .collect();
+        for eps2 in [0.0, 1e-4] {
+            let sources = [
+                Source {
+                    pos: Vec3::new(1.0, 1.0, 1.0),
+                    mass: 1.0,
+                },
+                Source {
+                    pos: Vec3::new(Real::NAN, 0.0, 0.0),
+                    mass: 1.0,
+                },
+            ];
+            for o in assert_lanes_match(&sinks, &sources, eps2) {
+                assert!(o.acc.x.is_nan() && o.pot.is_nan(), "{o:?}");
+            }
+        }
     }
 }
