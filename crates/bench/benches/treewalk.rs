@@ -64,7 +64,6 @@ fn bench_walk_list_capacity(s: &mut Suite) {
             mac: Mac::fiducial(),
             eps2: 1e-4,
             list_cap: cap,
-            ..WalkConfig::default()
         };
         s.bench(format!("walk_list_capacity/{cap}"), || {
             walk_tree(black_box(&tree), &ps.pos, &ps.mass, &a_old, &active, &cfg)

@@ -36,7 +36,6 @@ fn main() {
             mac: Mac::fiducial(),
             eps2: 1e-4,
             list_cap: cap,
-            ..WalkConfig::default()
         };
         let res = walk_tree(&tree, &ps.pos, &ps.mass, &a_old, &active, &cfg);
         // Forces are capacity-independent.

@@ -218,7 +218,6 @@ impl Gothic {
             },
             eps2: cfg.eps * cfg.eps,
             list_cap: cfg.list_cap,
-            ..WalkConfig::default()
         };
         let active: Vec<u32> = (0..n as u32).collect();
         let ones = vec![1.0 as Real; n];
@@ -364,7 +363,6 @@ impl Gothic {
             mac: self.cfg.mac,
             eps2,
             list_cap: self.cfg.list_cap,
-            ..WalkConfig::default()
         };
         let span = telemetry::span(Function::WalkTree.name());
         let t0 = std::time::Instant::now();

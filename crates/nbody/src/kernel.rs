@@ -73,9 +73,10 @@ pub fn interact(sink: Vec3, src: Source, eps2: Real) -> AccPot {
 
 /// Accumulate the gravity of a list of sources onto one sink, in list
 /// order from +0.0. This is the scalar reference for [`accumulate_lanes`],
-/// which must reproduce it bit for bit in every lane. It is no longer the
-/// `walkTree` flush loop: its callers are the per-particle walk
-/// (`octree::walk_tree_individual`) and the `perfbench` flush probe.
+/// which must reproduce it bit for bit in every lane. It is not the
+/// `walkTree` flush loop: its callers are the per-particle walk's flush
+/// (`octree::walk_tree_individual`), the `perfbench` flush probe, and the
+/// tests that hold the lane kernel to it.
 #[inline]
 pub fn accumulate(sink: Vec3, sources: &[Source], eps2: Real) -> AccPot {
     let mut out = AccPot::default();

@@ -1,5 +1,5 @@
-//! The warp-group tree traversal — the `walkTree` kernel, GOTHIC's
-//! dominant cost (Figs. 3 and 4).
+//! The tree traversal — the `walkTree` kernel, GOTHIC's dominant cost
+//! (Figs. 3 and 4).
 //!
 //! GOTHIC assigns 32 Morton-adjacent particles to the 32 threads of a
 //! warp. The warp traverses the tree *breadth-first*, keeping a queue of
@@ -13,11 +13,15 @@
 //! sources are shared by 32 sinks). The procedure repeats until the queue
 //! drains (§1 of the paper).
 //!
-//! This module reproduces that traversal on the host, one pool task per
-//! warp-group, and records the event counts ([`WalkEvents`]) the
-//! performance model consumes. The flush keeps the warp's shape: the
-//! group's sinks sit in the lanes of a `SinkLanes` block for the whole
-//! traversal, and `accumulate_lanes` streams the list through them.
+//! This module reproduces that traversal on the host and records the
+//! event counts ([`WalkEvents`]) the performance model consumes. One
+//! loop, `traverse`, does it for both walks; they differ only in the
+//! pivot the MAC measures distances from and in the flush kernel:
+//! - [`walk_tree`], one pool task per warp-group: the group's bounding
+//!   sphere and minimum |a_old|, with the sinks held in the lanes of a
+//!   `SinkLanes` block that `accumulate_lanes` streams each list through;
+//! - [`walk_tree_individual`], the per-particle ablation: a point pivot
+//!   at the sink with its own |a_old|, flushed by the scalar `accumulate`.
 
 use crate::mac::Mac;
 use crate::tree::Octree;
@@ -25,8 +29,8 @@ use gpu_model::WalkEvents;
 use nbody::kernel::{accumulate, accumulate_lanes, LaneSums, SinkLanes, Source, LANES};
 use nbody::{Real, Vec3};
 
-/// Lanes per warp — fixed by the hardware the paper targets, and the
-/// width of the flush's lane block.
+/// Lanes per warp — fixed by the hardware the paper targets, the width
+/// of the flush's lane block, and the candidates examined per queue round.
 pub const WARP_SIZE: usize = LANES;
 
 /// Tree-walk parameters.
@@ -39,8 +43,6 @@ pub struct WalkConfig {
     /// Interaction-list capacity (shared-memory entries per warp in
     /// GOTHIC; flushing granularity here).
     pub list_cap: usize,
-    /// Candidates examined per queue round (warp width).
-    pub round_width: usize,
 }
 
 impl Default for WalkConfig {
@@ -49,7 +51,6 @@ impl Default for WalkConfig {
             mac: Mac::fiducial(),
             eps2: 1e-4,
             list_cap: 256,
-            round_width: WARP_SIZE,
         }
     }
 }
@@ -98,6 +99,53 @@ pub fn walk_tree(
     WalkResult { acc, pot, events }
 }
 
+/// Per-particle traversal — the ablation baseline against the warp-group
+/// walk. It runs the same traversal as [`walk_tree`] once per sink, with
+/// a point pivot (the sink itself and its own previous acceleration)
+/// instead of the group-conservative one, and flushes through the scalar
+/// `accumulate` (a one-lane block would compute 31 padding lanes per
+/// source). It therefore evaluates *more* MACs per accepted cell but
+/// needs *fewer* interactions in total; GOTHIC chooses the group walk
+/// anyway because sharing one interaction list across 32 lanes is what
+/// raises arithmetic intensity on a GPU (§1 of the paper).
+/// `bench/bin/ablation_group_walk` quantifies the trade-off.
+pub fn walk_tree_individual(
+    tree: &Octree,
+    pos: &[Vec3],
+    mass_arr: &[Real],
+    acc_old: &[Real],
+    active: &[u32],
+    cfg: &WalkConfig,
+) -> WalkResult {
+    assert_eq!(pos.len(), tree.keys.len());
+    let results: Vec<(Vec3, Real, WalkEvents)> = parallel::par_map(active, |&i| {
+        let sink = pos[i as usize];
+        let pivot = Pivot {
+            center: sink,
+            radius: 0.0,
+            a_min: acc_old[i as usize],
+        };
+        let mut acc = Vec3::ZERO;
+        let mut pot: Real = 0.0;
+        let events = traverse(tree, pos, mass_arr, pivot, 1, cfg, |list| {
+            let out = accumulate(sink, list, cfg.eps2);
+            acc += out.acc;
+            pot += out.pot;
+        });
+        (acc, pot, events)
+    });
+
+    let mut acc = Vec::with_capacity(active.len());
+    let mut pot = Vec::with_capacity(active.len());
+    let mut events = WalkEvents::default();
+    for (a, p, e) in results {
+        acc.push(a);
+        pot.push(p);
+        events.merge(&e);
+    }
+    WalkResult { acc, pot, events }
+}
+
 /// One warp-group's traversal; returns the group's sums in lane order.
 fn walk_group(
     tree: &Octree,
@@ -107,12 +155,6 @@ fn walk_group(
     group: &[u32],
     cfg: &WalkConfig,
 ) -> (LaneSums, WalkEvents) {
-    let mut events = WalkEvents {
-        groups: 1,
-        sinks: group.len() as u64,
-        ..WalkEvents::default()
-    };
-
     // Group pivot: bounding sphere of the sink positions, plus the
     // group-minimum previous acceleration (the warp shares one list, so
     // the MAC must hold for the *most demanding* member).
@@ -130,12 +172,63 @@ fn walk_group(
     for &i in group {
         radius = radius.max((pos[i as usize] - center).norm());
     }
+    let pivot = Pivot {
+        center,
+        radius,
+        a_min,
+    };
 
     // The warp's registers: one sink per lane, loaded once per group and
     // reused by every flush.
     let lanes = SinkLanes::load(group.iter().map(|&i| pos[i as usize]));
     let mut sums = LaneSums::zero(&lanes);
+    let events = traverse(tree, pos, mass_arr, pivot, group.len(), cfg, |list| {
+        sums.add(&accumulate_lanes(&lanes, list, cfg.eps2))
+    });
+    (sums, events)
+}
+
+/// Where a traversal measures MAC distances from: a sphere holding every
+/// sink that shares the interaction list, and the smallest |a_old| among
+/// them (the list must satisfy its most demanding member).
+struct Pivot {
+    center: Vec3,
+    radius: Real,
+    a_min: Real,
+}
+
+/// The breadth-first traversal shared by both walks, for `sinks` sinks
+/// inside `pivot` that share one interaction list. `flush` integrates
+/// Eq. 1 over a full (or the final partial) list for every sink, adding
+/// a partial sum that starts from +0.0 to each running total.
+fn traverse(
+    tree: &Octree,
+    pos: &[Vec3],
+    mass_arr: &[Real],
+    pivot: Pivot,
+    sinks: usize,
+    cfg: &WalkConfig,
+    mut flush: impl FnMut(&[Source]),
+) -> WalkEvents {
+    let mut events = WalkEvents {
+        groups: 1,
+        sinks: sinks as u64,
+        ..WalkEvents::default()
+    };
     let mut list: Vec<Source> = Vec::with_capacity(cfg.list_cap);
+    let mut drain = |list: &mut Vec<Source>, events: &mut WalkEvents| {
+        events.flushes += 1;
+        events.interactions += (sinks * list.len()) as u64;
+        flush(list);
+        list.clear();
+    };
+    let mut push = |src: Source, list: &mut Vec<Source>, events: &mut WalkEvents| {
+        list.push(src);
+        events.list_pushes += 1;
+        if list.len() == cfg.list_cap {
+            drain(list, events);
+        }
+    };
 
     // Breadth-first queue over node ids; `head` advances instead of
     // popping so `queue.len() - head` is the live buffer occupancy the
@@ -150,45 +243,31 @@ fn walk_group(
     }
 
     while head < queue.len() {
-        let round_end = (head + cfg.round_width).min(queue.len());
+        let round_end = (head + WARP_SIZE).min(queue.len());
         events.queue_rounds += 1;
         for qi in head..round_end {
             let v = queue[qi] as usize;
             events.mac_evals += 1;
             let com = tree.com[v];
             let b = tree.bmax[v];
-            let dvec = com - center;
-            let dist = dvec.norm();
             // Worst-case sink distance to the node COM, and a separation
-            // guard: the node's matter sphere must clear the group sphere
+            // guard: the node's matter sphere must clear the pivot sphere
             // before a multipole is trusted at all.
-            let d = dist - radius;
+            let d = (com - pivot.center).norm() - pivot.radius;
             let separated = d > b && d > 0.0;
-            if separated && cfg.mac.accepts(tree.mass[v], b, d * d, a_min) {
-                push_source(
-                    Source {
-                        pos: com,
-                        mass: tree.mass[v],
-                    },
-                    &mut list,
-                    cfg,
-                    &lanes,
-                    &mut sums,
-                    &mut events,
-                );
+            if separated && cfg.mac.accepts(tree.mass[v], b, d * d, pivot.a_min) {
+                let cell = Source {
+                    pos: com,
+                    mass: tree.mass[v],
+                };
+                push(cell, &mut list, &mut events);
             } else if tree.is_leaf(v) {
                 for p in tree.particles(v) {
-                    push_source(
-                        Source {
-                            pos: pos[p],
-                            mass: mass_arr[p],
-                        },
-                        &mut list,
-                        cfg,
-                        &lanes,
-                        &mut sums,
-                        &mut events,
-                    );
+                    let particle = Source {
+                        pos: pos[p],
+                        mass: mass_arr[p],
+                    };
+                    push(particle, &mut list, &mut events);
                 }
             } else {
                 events.opens += 1;
@@ -201,16 +280,15 @@ fn walk_group(
 
     // Final (partial) flush.
     if !list.is_empty() {
-        flush(&list, &lanes, &mut sums, cfg.eps2, &mut events);
-        list.clear();
+        drain(&mut list, &mut events);
     }
     record_walk_counters(&events);
-    (sums, events)
+    events
 }
 
-/// Publish one group's event counts to the telemetry registry. Runs on
-/// the pool worker that walked the group; the counters are sharded, so
-/// concurrent groups do not contend.
+/// Publish one traversal's event counts to the telemetry registry. Runs
+/// on the pool worker that walked it; the counters are sharded, so
+/// concurrent traversals do not contend.
 #[inline]
 fn record_walk_counters(events: &WalkEvents) {
     use telemetry::metrics::counters as tm;
@@ -220,38 +298,6 @@ fn record_walk_counters(events: &WalkEvents) {
     tm::WALK_LIST_PUSHES.add(events.list_pushes);
     tm::WALK_OPENS.add(events.opens);
     tm::WALK_FLUSHES.add(events.flushes);
-}
-
-/// Append one source, flushing the shared list at capacity.
-#[inline]
-fn push_source(
-    src: Source,
-    list: &mut Vec<Source>,
-    cfg: &WalkConfig,
-    lanes: &SinkLanes,
-    sums: &mut LaneSums,
-    events: &mut WalkEvents,
-) {
-    list.push(src);
-    events.list_pushes += 1;
-    if list.len() == cfg.list_cap {
-        flush(list, lanes, sums, cfg.eps2, events);
-        list.clear();
-    }
-}
-
-/// Flush: every lane accumulates Eq. 1 over all list entries from +0.0,
-/// then adds that partial sum to its running total.
-fn flush(
-    list: &[Source],
-    lanes: &SinkLanes,
-    sums: &mut LaneSums,
-    eps2: Real,
-    events: &mut WalkEvents,
-) {
-    events.flushes += 1;
-    events.interactions += (lanes.active() * list.len()) as u64;
-    sums.add(&accumulate_lanes(lanes, list, eps2));
 }
 
 #[cfg(test)]
@@ -281,27 +327,42 @@ mod tests {
         ps
     }
 
-    fn forces_fixture(n: usize, mac: Mac) -> (ParticleSet, WalkResult, Vec<Vec3>, Vec<Real>) {
+    type WalkFn = fn(&Octree, &[Vec3], &[Real], &[Real], &[u32], &WalkConfig) -> WalkResult;
+
+    /// The two traversals, with the sinks each one walks at once.
+    const WALKS: [(&str, WalkFn, u64); 2] = [
+        ("walk_tree", walk_tree, WARP_SIZE as u64),
+        ("walk_tree_individual", walk_tree_individual, 1),
+    ];
+
+    const EPS2: Real = 1e-6;
+
+    /// Walk every sink of the fixture cloud with `walk`.
+    fn walked(n: usize, mac: Mac, walk: WalkFn) -> (ParticleSet, WalkResult) {
         let mut ps = plummer_like(n, 42);
         let mut tree = build_tree(&mut ps, &BuildConfig::default());
         calc_node(&mut tree, &ps.pos, &ps.mass);
-        let eps2 = 1e-6;
         let cfg = WalkConfig {
             mac,
-            eps2,
+            eps2: EPS2,
             ..WalkConfig::default()
         };
         let active: Vec<u32> = (0..n as u32).collect();
         // Bootstrap a_old with 1 (irrelevant for OpeningAngle).
         let a_old = vec![1.0; n];
-        let res = walk_tree(&tree, &ps.pos, &ps.mass, &a_old, &active, &cfg);
+        let res = walk(&tree, &ps.pos, &ps.mass, &a_old, &active, &cfg);
+        (ps, res)
+    }
+
+    fn forces_fixture(n: usize, mac: Mac) -> (ParticleSet, WalkResult, Vec<Vec3>, Vec<Real>) {
+        let (ps, res) = walked(n, mac, walk_tree);
         let sources: Vec<Source> = ps
             .pos
             .iter()
             .zip(&ps.mass)
             .map(|(&p, &m)| Source { pos: p, mass: m })
             .collect();
-        let (dacc, dpot) = direct_parallel(&ps.pos, &sources, eps2);
+        let (dacc, dpot) = direct_parallel(&ps.pos, &sources, EPS2);
         (ps, res, dacc, dpot)
     }
 
@@ -392,17 +453,23 @@ mod tests {
 
     #[test]
     fn event_accounting_is_consistent() {
-        let (_, res, _, _) = forces_fixture(4096, Mac::fiducial());
-        let ev = &res.events;
-        // Every MAC eval either accepted (list push), opened, or expanded
-        // a leaf (pushes ≥ evals − opens because leaves push many).
-        assert!(ev.mac_evals >= ev.opens);
-        assert!(ev.list_pushes > 0);
-        assert!(ev.flushes > 0);
-        // Interactions = Σ group_size × pushes (all sinks see all pushes).
-        assert_eq!(ev.interactions, 32 * ev.list_pushes);
-        assert!(ev.queue_rounds >= ev.groups);
-        assert!(ev.peak_queue_len > 0);
+        for (name, walk, group_size) in WALKS {
+            let (_, res) = walked(4096, Mac::fiducial(), walk);
+            let ev = &res.events;
+            // Every MAC eval either accepted (list push), opened, or
+            // expanded a leaf (pushes ≥ evals − opens because leaves push
+            // many).
+            assert!(ev.mac_evals >= ev.opens, "{name}");
+            assert!(ev.list_pushes > 0, "{name}");
+            assert!(ev.flushes > 0, "{name}");
+            // One traversal per group; interactions = group_size × pushes
+            // (every sink of a full group sees every push).
+            assert_eq!(ev.sinks, 4096, "{name}");
+            assert_eq!(ev.groups * group_size, ev.sinks, "{name}");
+            assert_eq!(ev.interactions, group_size * ev.list_pushes, "{name}");
+            assert!(ev.queue_rounds >= ev.groups, "{name}");
+            assert!(ev.peak_queue_len > 0, "{name}");
+        }
     }
 
     /// FNV-1a 64 over the raw bits of every walked `acc` and `pot`.
@@ -426,12 +493,11 @@ mod tests {
     fn walk_forces_match_pinned_digest() {
         // Any change to Eq. 1's arithmetic or to the per-sink summation
         // order shows here; the bits must hold at any thread count.
-        let (_, res, _, _) = forces_fixture(4096, Mac::fiducial());
-        assert_eq!(
-            force_digest(&res),
-            0x74be_8095_c012_53d7,
-            "walk force digest changed"
-        );
+        let pinned = [0x74be_8095_c012_53d7, 0xede6_8a0e_99e4_a746];
+        for ((name, walk, _), want) in WALKS.into_iter().zip(pinned) {
+            let (_, res) = walked(4096, Mac::fiducial(), walk);
+            assert_eq!(force_digest(&res), want, "{name} force digest changed");
+        }
     }
 
     #[test]
@@ -451,121 +517,6 @@ mod tests {
         let mag = (net[0].powi(2) + net[1].powi(2) + net[2].powi(2)).sqrt();
         assert!(mag < 1e-2 * scale, "net {mag} vs scale {scale}");
     }
-}
-
-/// Per-particle traversal — the ablation baseline against the warp-group
-/// walk. Each sink traverses alone: its MAC uses its own position and
-/// previous acceleration (no group-conservative pivot), so it evaluates
-/// *more* MACs per accepted cell but needs *fewer* interactions in total;
-/// GOTHIC chooses the group walk anyway because sharing one interaction
-/// list across 32 lanes is what raises arithmetic intensity on a GPU
-/// (§1 of the paper). `bench/bin/ablation_group_walk` quantifies the
-/// trade-off.
-pub fn walk_tree_individual(
-    tree: &Octree,
-    pos: &[Vec3],
-    mass_arr: &[Real],
-    acc_old: &[Real],
-    active: &[u32],
-    cfg: &WalkConfig,
-) -> WalkResult {
-    assert_eq!(pos.len(), tree.keys.len());
-    let results: Vec<(Vec3, Real, WalkEvents)> = parallel::par_map(active, |&i| {
-        let sink = pos[i as usize];
-        let a_min = acc_old[i as usize];
-        let mut events = WalkEvents {
-            groups: 1,
-            sinks: 1,
-            ..WalkEvents::default()
-        };
-        let mut acc = Vec3::ZERO;
-        let mut pot: Real = 0.0;
-        let mut list: Vec<Source> = Vec::with_capacity(cfg.list_cap);
-        let mut queue: Vec<u32> = Vec::with_capacity(128);
-        let mut head = 0usize;
-        if tree.is_leaf(0) {
-            queue.push(0);
-        } else {
-            queue.extend(tree.children(0).map(|c| c as u32));
-        }
-        while head < queue.len() {
-            let round_end = (head + cfg.round_width).min(queue.len());
-            events.queue_rounds += 1;
-            for qi in head..round_end {
-                let v = queue[qi] as usize;
-                events.mac_evals += 1;
-                let com = tree.com[v];
-                let b = tree.bmax[v];
-                let d = (com - sink).norm();
-                let separated = d > b && d > 0.0;
-                let flush_push = |src: Source,
-                                  list: &mut Vec<Source>,
-                                  events: &mut WalkEvents,
-                                  acc: &mut Vec3,
-                                  pot: &mut Real| {
-                    list.push(src);
-                    events.list_pushes += 1;
-                    if list.len() == cfg.list_cap {
-                        events.flushes += 1;
-                        events.interactions += list.len() as u64;
-                        let out = accumulate(sink, list, cfg.eps2);
-                        *acc += out.acc;
-                        *pot += out.pot;
-                        list.clear();
-                    }
-                };
-                if separated && cfg.mac.accepts(tree.mass[v], b, d * d, a_min) {
-                    flush_push(
-                        Source {
-                            pos: com,
-                            mass: tree.mass[v],
-                        },
-                        &mut list,
-                        &mut events,
-                        &mut acc,
-                        &mut pot,
-                    );
-                } else if tree.is_leaf(v) {
-                    for p in tree.particles(v) {
-                        flush_push(
-                            Source {
-                                pos: pos[p],
-                                mass: mass_arr[p],
-                            },
-                            &mut list,
-                            &mut events,
-                            &mut acc,
-                            &mut pot,
-                        );
-                    }
-                } else {
-                    events.opens += 1;
-                    queue.extend(tree.children(v).map(|c| c as u32));
-                }
-            }
-            head = round_end;
-            events.peak_queue_len = events.peak_queue_len.max((queue.len() - head) as u64);
-        }
-        if !list.is_empty() {
-            events.flushes += 1;
-            events.interactions += list.len() as u64;
-            let out = accumulate(sink, &list, cfg.eps2);
-            acc += out.acc;
-            pot += out.pot;
-        }
-        record_walk_counters(&events);
-        (acc, pot, events)
-    });
-
-    let mut acc = Vec::with_capacity(active.len());
-    let mut pot = Vec::with_capacity(active.len());
-    let mut events = WalkEvents::default();
-    for (a, p, e) in results {
-        acc.push(a);
-        pot.push(p);
-        events.merge(&e);
-    }
-    WalkResult { acc, pot, events }
 }
 
 #[cfg(test)]

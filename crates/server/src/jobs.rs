@@ -48,13 +48,16 @@ fn sample(model: &str, n: usize, seed: u64) -> gothic::nbody::ParticleSet {
 /// before the first check, so the floor on a cancelled request's cost is
 /// one bootstrap, not zero.
 ///
-/// Telemetry counters are reported **per job** by snapshot-and-delta:
-/// the process-wide registry is sampled before and after the run and the
-/// payload carries only the differences. Resetting the registry between
-/// jobs would be wrong twice over — it races with concurrent workers and
-/// silently zeroes the daemon-lifetime totals the `metrics` request
-/// exposes — and reporting raw cumulative values would bleed every
-/// earlier job's work into the next payload.
+/// Telemetry counters are reported by snapshot-and-delta: the
+/// process-wide registry is sampled before and after the run and the
+/// payload carries only the differences. This avoids resetting the
+/// registry, which would zero the daemon-lifetime totals the `metrics`
+/// request exposes, and it keeps earlier jobs' work out of the payload.
+/// It is exact only while one job runs at a time. The registry is
+/// global, so with two or more workers every job that overlaps this one
+/// adds its counts to this payload's `counters` too (perfbench's
+/// `server.counter_bleed_frac` reads about 1.0 on a two-worker daemon).
+/// Per-run telemetry scopes that fix this are ROADMAP open item 3.
 pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobError> {
     let ctr_before = gothic::telemetry::metrics::snapshot();
     let ps = sample(&job.model, job.n, job.seed);
