@@ -10,6 +10,8 @@ use gpu_model::{
     kernel_time, CalcNodeEvents, ExecMode, GpuArch, GridBarrier, IntegrateEvents, MakeTreeEvents,
     OpCounts, WalkEvents,
 };
+use telemetry::metrics::counters as tm;
+use telemetry::Counter;
 
 /// The five representative functions of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -54,6 +56,36 @@ pub struct StepEvents {
 }
 
 impl StepEvents {
+    /// The registry counter each event count feeds, with its count.
+    /// Through [`StepEvents::publish`] this table is the only path into
+    /// the `walk.*`, `calc.*`, `tree.*` and `integrate.*` counters: the
+    /// kernels just return their events.
+    pub fn counters(&self) -> [(&'static Counter, u64); 13] {
+        let make = self.make.unwrap_or_default();
+        [
+            (&tm::WALK_GROUPS, self.walk.groups),
+            (&tm::WALK_INTERACTIONS, self.walk.interactions),
+            (&tm::WALK_MAC_EVALS, self.walk.mac_evals),
+            (&tm::WALK_LIST_PUSHES, self.walk.list_pushes),
+            (&tm::WALK_OPENS, self.walk.opens),
+            (&tm::WALK_FLUSHES, self.walk.flushes),
+            (&tm::CALC_NODES, self.calc.nodes),
+            (&tm::CALC_ACCUMULATIONS, self.calc.child_accumulations),
+            (&tm::CALC_GRID_SYNCS, self.calc.grid_syncs),
+            (&tm::TREE_BUILDS, self.make.is_some() as u64),
+            (&tm::TREE_NODES_CREATED, make.nodes_created),
+            (&tm::PREDICT_PARTICLES, self.predict.particles),
+            (&tm::CORRECT_PARTICLES, self.correct.particles),
+        ]
+    }
+
+    /// Add these events to the registry counters.
+    pub fn publish(&self) {
+        for (counter, v) in self.counters() {
+            counter.add(v);
+        }
+    }
+
     /// Extrapolate this step from a run with `from_n` particles to a run
     /// with `to_n`, holding the per-particle event *rates* fixed (they
     /// actually grow ∝ log N in a Barnes–Hut walk, so this slightly

@@ -296,8 +296,6 @@ pub fn build_tree_with_positions(
         level += 1;
     }
     tree.events.nodes_created = tree.n_nodes() as u64;
-    telemetry::metrics::counters::TREE_BUILDS.add(1);
-    telemetry::metrics::counters::TREE_NODES_CREATED.add(tree.events.nodes_created);
 
     // Size the COM arrays; calc_node fills them.
     let n_nodes = tree.n_nodes();

@@ -282,22 +282,7 @@ fn traverse(
     if !list.is_empty() {
         drain(&mut list, &mut events);
     }
-    record_walk_counters(&events);
     events
-}
-
-/// Publish one traversal's event counts to the telemetry registry. Runs
-/// on the pool worker that walked it; the counters are sharded, so
-/// concurrent traversals do not contend.
-#[inline]
-fn record_walk_counters(events: &WalkEvents) {
-    use telemetry::metrics::counters as tm;
-    tm::WALK_GROUPS.add(events.groups);
-    tm::WALK_INTERACTIONS.add(events.interactions);
-    tm::WALK_MAC_EVALS.add(events.mac_evals);
-    tm::WALK_LIST_PUSHES.add(events.list_pushes);
-    tm::WALK_OPENS.add(events.opens);
-    tm::WALK_FLUSHES.add(events.flushes);
 }
 
 #[cfg(test)]

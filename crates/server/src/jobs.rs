@@ -6,6 +6,7 @@ use std::sync::OnceLock;
 
 use gothic::galaxy::{plummer_model, M31Model};
 use gothic::telemetry::json::JsonObject;
+use gothic::telemetry::metrics::counters as ctr;
 use gothic::{price_step, CancelReason, CancelToken, Function, Gothic, Profile, StepEvents};
 
 use crate::protocol::{PredictJob, SimJob};
@@ -48,18 +49,16 @@ fn sample(model: &str, n: usize, seed: u64) -> gothic::nbody::ParticleSet {
 /// before the first check, so the floor on a cancelled request's cost is
 /// one bootstrap, not zero.
 ///
-/// Telemetry counters are reported by snapshot-and-delta: the
-/// process-wide registry is sampled before and after the run and the
-/// payload carries only the differences. This avoids resetting the
-/// registry, which would zero the daemon-lifetime totals the `metrics`
-/// request exposes, and it keeps earlier jobs' work out of the payload.
-/// It is exact only while one job runs at a time. The registry is
-/// global, so with two or more workers every job that overlaps this one
-/// adds its counts to this payload's `counters` too (perfbench's
-/// `server.counter_bleed_frac` reads about 1.0 on a two-worker daemon).
-/// Per-run telemetry scopes that fix this are ROADMAP open item 3.
+/// The payload's `counters` are this run's own step reports summed:
+/// every `walk.*`, `calc.*`, `tree.*` and `integrate.*` count of the
+/// requested block steps (`StepEvents::counters`), plus
+/// `pipeline.steps`, `pipeline.rebuilds` and
+/// `pipeline.active_particles`. They depend only on the request, not on
+/// other jobs running beside this one or on whether metrics are enabled.
+/// Work outside the block steps — sampling, the bootstrap force
+/// evaluation, sorting, pool scheduling and model pricing — is counted
+/// only in the daemon-wide `metrics` registry.
 pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobError> {
-    let ctr_before = gothic::telemetry::metrics::snapshot();
     let ps = sample(&job.model, job.n, job.seed);
     let mut sim = Gothic::new(ps, job.cfg.clone());
     let e0 = sim.diagnostics();
@@ -78,10 +77,16 @@ pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobErro
     let mut total = Profile::default();
     let mut wall = 0.0;
     let mut rebuilds = 0u64;
+    let mut active = 0u64;
+    let mut counts = StepEvents::default().counters();
     for r in &reports {
         total.add(&r.profile);
         wall += r.wall.total();
         rebuilds += r.rebuilt as u64;
+        active += r.n_active as u64;
+        for (sum, (_, v)) in counts.iter_mut().zip(r.events.counters()) {
+            sum.1 += v;
+        }
     }
     let steps = reports.len().max(1) as f64;
 
@@ -107,16 +112,14 @@ pub fn run_simulate(job: &SimJob, token: &CancelToken) -> Result<String, JobErro
         .raw("breakdown", &breakdown.finish())
         .f64("wall_seconds", wall);
 
-    // Per-job counter deltas (only counters this job actually moved).
-    // Zero when metrics collection is disabled process-wide.
-    let ctr_after = gothic::telemetry::metrics::snapshot();
     let mut counters = JsonObject::new();
-    for ((name, before), (_, after)) in ctr_before.iter().zip(ctr_after.iter()) {
-        let delta = after.wrapping_sub(*before);
-        if delta > 0 {
-            counters.u64(name, delta);
-        }
+    for (counter, v) in counts {
+        counters.u64(counter.name(), v);
     }
+    counters
+        .u64(ctr::PIPELINE_STEPS.name(), reports.len() as u64)
+        .u64(ctr::PIPELINE_REBUILDS.name(), rebuilds)
+        .u64(ctr::PIPELINE_ACTIVE_PARTICLES.name(), active);
     o.raw("counters", &counters.finish());
     Ok(o.finish())
 }
@@ -232,6 +235,11 @@ mod tests {
             v.get("model_seconds_per_step").unwrap().as_f64().unwrap() > 0.0,
             "modeled time must be positive"
         );
+        // The job's own step reports, whether or not metrics are enabled.
+        let counters = v.get("counters").unwrap();
+        let count = |k: &str| counters.get(k).unwrap().as_u64().unwrap();
+        assert_eq!(count("pipeline.steps"), 3);
+        assert!(count("walk.interactions") > 0);
     }
 
     #[test]
@@ -247,10 +255,9 @@ mod tests {
     #[test]
     fn identical_jobs_render_identical_payloads() {
         // The cache contract: digest equality implies the *results* are
-        // interchangeable. Everything but the measured wall clock and the
-        // per-job counter deltas (which record what this particular run
-        // cost, and can be perturbed by concurrent test activity when
-        // metrics are enabled) must be bit-identical.
+        // interchangeable. Everything but the measured wall clock must be
+        // bit-identical, the counters included: they are the job's own
+        // step events.
         let a = sim_job(r#"{"type":"simulate","n":512,"steps":2,"seed":3}"#);
         let b = sim_job(r#"{"steps":2,"seed":3,"n":512,"type":"simulate"}"#);
         assert_eq!(a.digest(), b.digest());
@@ -258,7 +265,6 @@ mod tests {
             let v = parse(payload).unwrap();
             let mut m = v.as_obj().unwrap().clone();
             assert!(m.remove("wall_seconds").is_some());
-            assert!(m.remove("counters").is_some());
             m
         };
         let pa = run_simulate(&a, &CancelToken::new()).unwrap();

@@ -7,7 +7,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use gothic::telemetry::{self, json};
@@ -306,6 +306,39 @@ fn consecutive_jobs_report_their_own_counter_deltas() {
         5,
         "second job must not inherit the first job's steps"
     );
+    srv.drain();
+}
+
+#[test]
+fn concurrent_jobs_report_only_their_own_steps() {
+    let _g = serial();
+    // Two workers run two jobs at once. Each payload must count only its
+    // own block steps, however the two runs interleave.
+    let srv = start(2, 4, 0);
+    let addr = srv.addr();
+    let release = Barrier::new(2);
+    let steps_reported = |steps: u64| {
+        let mut c = Client::connect(addr);
+        let line = format!(
+            r#"{{"type":"simulate","model":"plummer","n":8192,"steps":{steps},"seed":{steps},"cache":false}}"#
+        );
+        release.wait();
+        let resp = c.roundtrip(&line);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true), "{resp:?}");
+        resp.get("result")
+            .unwrap()
+            .get("counters")
+            .unwrap()
+            .get("pipeline.steps")
+            .and_then(|v| v.as_u64())
+    };
+    let (long, short) = std::thread::scope(|s| {
+        let long = s.spawn(|| steps_reported(40));
+        let short = s.spawn(|| steps_reported(25));
+        (long.join().unwrap(), short.join().unwrap())
+    });
+    assert_eq!(long, Some(40), "the 40-step job counts its own steps");
+    assert_eq!(short, Some(25), "the 25-step job counts its own steps");
     srv.drain();
 }
 

@@ -11,8 +11,8 @@
 //!   GPU times.
 //! * **Counters and histograms** ([`metrics`]) — a fixed registry of
 //!   named monotonic counters (interactions, MAC evaluations, radix
-//!   passes, syncwarp and grid-barrier executions, …) that rayon workers
-//!   bump through sharded atomics, merged on read, plus log₂-bucket
+//!   passes, syncwarp and grid-barrier executions, …) bumped through
+//!   sharded atomics and merged on read, plus log₂-bucket
 //!   [`Histogram`]s with p50/p95/p99 snapshots for latency-shaped values
 //!   and a Prometheus text exposition of both.
 //! * **Sinks** ([`sink`]) — a process-wide trace sink rendering either
@@ -25,11 +25,12 @@
 //! ## Overhead contract
 //!
 //! Everything is **off by default**. A disabled [`span`] costs one
-//! relaxed atomic load and returns a guard wrapping `None`; a disabled
-//! [`metrics::Counter::add`] costs one relaxed atomic load and a
-//! predictable branch. No allocation, no syscall, no lock. Hot paths
-//! (the tree walk, the radix sort, the SIMT interpreter) therefore keep
-//! their instrumentation compiled in unconditionally.
+//! relaxed atomic load plus one clock read (its guard still times the
+//! interval, so [`SpanGuard::finish`] can hand it to the caller); a
+//! disabled [`metrics::Counter::add`] costs one relaxed atomic load and
+//! a predictable branch. No allocation, no lock. Hot paths (the radix
+//! sort, the SIMT interpreter) therefore keep their instrumentation
+//! compiled in unconditionally.
 //!
 //! ## Example
 //!
@@ -38,7 +39,7 @@
 //! {
 //!     let _step = telemetry::span("step");
 //!     let _walk = telemetry::span("walk tree");
-//!     telemetry::metrics::counters::WALK_INTERACTIONS.add(1024);
+//!     telemetry::metrics::counters::SORT_RADIX_PASSES.add(8);
 //! }
 //! telemetry::sink::emit_counters();
 //! let lines = telemetry::sink::drain_memory();

@@ -1,13 +1,13 @@
 //! Named monotonic counters over sharded atomics.
 //!
-//! Rayon workers bump counters concurrently; a naive single `AtomicU64`
-//! would bounce its cache line between cores on every increment. Each
-//! [`Counter`] therefore owns [`N_SHARDS`] cache-line-aligned atomic
-//! cells; a thread picks its shard once (round-robin at first use) and
-//! keeps hitting the same line, so increments from different workers
-//! don't contend. Reads ([`Counter::value`]) sum the shards — counters
-//! are monotonically increasing totals, exact once the bumping work has
-//! been joined (rayon scopes join before the pipeline reads).
+//! Pool workers, daemon workers and the pipeline bump counters from
+//! many threads; a naive single `AtomicU64` would bounce its cache line
+//! between cores on every increment. Each [`Counter`] therefore owns
+//! [`N_SHARDS`] cache-line-aligned atomic cells; a thread picks its
+//! shard once (round-robin at first use) and keeps hitting the same
+//! line, so increments from different threads don't contend. Reads
+//! ([`Counter::value`]) sum the shards — counters are monotonically
+//! increasing totals, exact once the bumping work has been joined.
 //!
 //! The full workspace registry lives in [`counters`]: the telemetry
 //! crate sits at the base of the crate graph, so every domain crate
@@ -25,8 +25,8 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Shards per counter. A power of two so shard selection is a mask;
-/// 16 × 64 B = 1 KiB per counter, plenty to keep a typical rayon pool
-/// (8–32 workers) from sharing lines.
+/// 16 × 64 B = 1 KiB per counter, plenty to keep a typical worker pool
+/// (8–32 threads) from sharing lines.
 pub const N_SHARDS: usize = 16;
 
 /// One cache line worth of counter cell.
@@ -295,8 +295,11 @@ macro_rules! declare_counters {
 /// Names are `subsystem.event`, stable across PRs — they are the schema
 /// of the `{"type":"counters"}` trace line and of the run reports.
 pub mod counters {
-    // walkTree (octree::walk) — bumped per warp-group by rayon workers.
+    // The walk.*, calc.*, tree.* and integrate.* counters have one
+    // writer: gothic's `StepEvents::publish`, once per bootstrap and
+    // once per block step.
     declare_counters! {
+        // walkTree (octree::walk).
         WALK_GROUPS => "walk.groups",
         WALK_INTERACTIONS => "walk.interactions",
         WALK_MAC_EVALS => "walk.mac_evals",
@@ -315,7 +318,7 @@ pub mod counters {
         SORT_ELEMENTS => "sort.elements",
         SORT_RADIX_PASSES => "sort.radix_passes",
         SORT_SKIPPED_PASSES => "sort.skipped_passes",
-        // Orbit integration (nbody / gothic::pipeline).
+        // Orbit integration (the pipeline's predict and correct).
         PREDICT_PARTICLES => "integrate.predict_particles",
         CORRECT_PARTICLES => "integrate.correct_particles",
         // Pipeline (gothic).
@@ -481,7 +484,7 @@ mod tests {
     fn reset_all_zeroes_registry() {
         let _g = crate::sink::test_lock();
         crate::set_metrics_enabled(true);
-        counters::WALK_INTERACTIONS.add(3);
+        counters::SORT_CALLS.add(3);
         histograms::STEP_WALL_NS.record(7);
         reset_all();
         assert!(snapshot().iter().all(|&(_, v)| v == 0));

@@ -383,7 +383,7 @@ mod tests {
         let _g = test_lock();
         init_trace_memory();
         crate::metrics::reset_all();
-        crate::metrics::counters::WALK_INTERACTIONS.add(7);
+        crate::metrics::counters::SORT_CALLS.add(7);
         emit_counters();
         let lines = drain_memory();
         shutdown();
@@ -397,7 +397,7 @@ mod tests {
         let counters = json::parse(lines.last().unwrap()).unwrap();
         assert_eq!(counters.get("type").unwrap().as_str(), Some("counters"));
         let inner = counters.get("counters").unwrap();
-        assert_eq!(inner.get("walk.interactions").unwrap().as_u64(), Some(7));
+        assert_eq!(inner.get("sort.calls").unwrap().as_u64(), Some(7));
         // Every registered counter appears in the snapshot line.
         assert_eq!(
             inner.as_obj().unwrap().len(),
@@ -451,7 +451,7 @@ mod tests {
             let _outer = crate::span("outer");
             let _inner = crate::span("inner");
         }
-        crate::metrics::counters::WALK_INTERACTIONS.add(11);
+        crate::metrics::counters::SORT_CALLS.add(11);
         emit_counters();
         // Structured lines are dropped, not corrupted, in Chrome mode.
         let mut stray = JsonObject::new();
@@ -484,7 +484,7 @@ mod tests {
             counters[0]
                 .get("args")
                 .unwrap()
-                .get("walk.interactions")
+                .get("sort.calls")
                 .unwrap()
                 .as_u64(),
             Some(11)

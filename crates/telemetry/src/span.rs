@@ -14,54 +14,53 @@
 //! sink initialisation), so events from all threads share one clock.
 
 use std::cell::Cell;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// RAII guard of one span. Created by [`span`]; records on drop.
+/// RAII guard of one span. Created by [`span`]; records on drop or on
+/// [`SpanGuard::finish`].
 ///
-/// Holds `None` when spans are disabled — the whole lifecycle is then a
-/// relaxed load, a branch, and a no-op drop.
+/// The start instant is always read, so [`SpanGuard::finish`] returns
+/// the interval whether or not spans are enabled; `rec` is `None` when
+/// they are disabled, and the lifecycle is then a relaxed load, one
+/// clock read, and a no-op drop.
 #[must_use = "a span guard records its interval when dropped"]
 pub struct SpanGuard {
+    start: Instant,
     rec: Option<Rec>,
 }
 
 struct Rec {
     name: &'static str,
-    start: Instant,
     depth: u32,
 }
 
-/// Open a span named `name`. The returned guard measures until dropped.
+/// Open a span named `name`. The returned guard measures until dropped
+/// or finished.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::spans_enabled() {
-        return SpanGuard { rec: None };
-    }
-    let depth = DEPTH.with(|d| {
-        let v = d.get();
-        d.set(v + 1);
-        v
+    let rec = crate::spans_enabled().then(|| Rec {
+        name,
+        depth: DEPTH.with(|d| {
+            let v = d.get();
+            d.set(v + 1);
+            v
+        }),
     });
     SpanGuard {
-        rec: Some(Rec {
-            name,
-            start: Instant::now(),
-            depth,
-        }),
+        start: Instant::now(),
+        rec,
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(rec) = self.rec.take() else { return };
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        let dur_ns = rec.start.elapsed().as_nanos() as u64;
-        let t_ns = rec.start.duration_since(crate::sink::epoch()).as_nanos() as u64;
-        crate::sink::record_span(rec.name, rec.depth, t_ns, dur_ns);
+        if self.rec.is_some() {
+            self.record(self.start.elapsed());
+        }
     }
 }
 
@@ -69,6 +68,23 @@ impl SpanGuard {
     /// True when this guard is actually recording.
     pub fn is_recording(&self) -> bool {
         self.rec.is_some()
+    }
+
+    /// Close the span and return its interval. The span event (when
+    /// spans are enabled) carries exactly this duration, so a caller
+    /// that needs the time as a value and in the trace reads the clock
+    /// once.
+    pub fn finish(mut self) -> Duration {
+        let dur = self.start.elapsed();
+        self.record(dur);
+        dur
+    }
+
+    fn record(&mut self, dur: Duration) {
+        let Some(rec) = self.rec.take() else { return };
+        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        let t_ns = self.start.duration_since(crate::sink::epoch()).as_nanos() as u64;
+        crate::sink::record_span(rec.name, rec.depth, t_ns, dur.as_nanos() as u64);
     }
 }
 
@@ -141,5 +157,35 @@ mod tests {
             .map(|v| v.get("depth").unwrap().as_u64().unwrap())
             .collect();
         assert_eq!(depths, vec![0, 0], "sibling spans must both sit at depth 0");
+    }
+
+    #[test]
+    fn finish_times_the_interval_with_spans_disabled() {
+        let _g = sink::test_lock();
+        crate::disable_all();
+        let s = super::span("off");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(s.finish() >= std::time::Duration::from_millis(1));
+    }
+
+    #[test]
+    fn finish_returns_exactly_the_emitted_duration() {
+        let _g = sink::test_lock();
+        sink::init_trace_memory();
+        let dur = super::span("timed").finish();
+        let lines = sink::drain_memory();
+        sink::shutdown();
+        let spans: Vec<_> = lines
+            .iter()
+            .map(|l| json::parse(l).unwrap())
+            .filter(|v| v.get("type").and_then(|t| t.as_str()) == Some("span"))
+            .collect();
+        assert_eq!(
+            spans.len(),
+            1,
+            "finish records once; the drop after it records nothing"
+        );
+        let dur_ns = spans[0].get("dur_ns").unwrap().as_u64().unwrap();
+        assert_eq!(dur.as_nanos() as u64, dur_ns);
     }
 }

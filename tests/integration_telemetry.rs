@@ -116,6 +116,44 @@ fn counter_snapshot_records_workspace_activity() {
 }
 
 #[test]
+fn step_reports_are_the_only_writer_of_the_event_counters() {
+    let _g = telemetry::sink::test_lock();
+    telemetry::metrics::reset_all();
+    telemetry::set_metrics_enabled(true);
+    let particles = plummer_model(512, 100.0, 1.0, 7);
+    let mut sim = Gothic::new(particles, RunConfig::default());
+    let before: HashMap<_, _> = telemetry::metrics::snapshot().into_iter().collect();
+    let reports = sim.run(STEPS);
+    let after = telemetry::metrics::snapshot();
+    telemetry::disable_all();
+
+    // The bootstrap's build, calcNode and walk are published too.
+    assert_eq!(before["tree.builds"], 1);
+    assert!(before["calc.nodes"] > 0 && before["walk.interactions"] > 0);
+
+    let mut summed: HashMap<&str, u64> = HashMap::new();
+    for r in &reports {
+        for (counter, v) in r.events.counters() {
+            *summed.entry(counter.name()).or_default() += v;
+        }
+    }
+    let mut checked = 0;
+    for (name, v) in after {
+        if ["walk.", "calc.", "tree.", "integrate."]
+            .iter()
+            .any(|p| name.starts_with(p))
+        {
+            let from_reports = summed
+                .get(name)
+                .unwrap_or_else(|| panic!("{name} is not in StepEvents::counters"));
+            assert_eq!(v - before[name], *from_reports, "{name}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, summed.len());
+}
+
+#[test]
 fn disabled_telemetry_is_inert() {
     let _g = telemetry::sink::test_lock();
     telemetry::disable_all();
