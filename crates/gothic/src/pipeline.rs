@@ -129,9 +129,10 @@ pub struct StepReport {
 /// at the highest accuracy and ~30 at the lowest.
 #[derive(Clone, Debug, Default)]
 struct RebuildTuner {
-    /// Per-leaf bmax right after the last rebuild (leaf order is stable
-    /// between rebuilds because the topology is frozen).
-    fresh_leaf_bmax: Vec<f64>,
+    /// Per-node bmax right after the last rebuild, 0 for internal nodes
+    /// (node ids are stable between rebuilds because the topology is
+    /// frozen).
+    fresh_bmax: Vec<f64>,
     /// Accumulated excess walk work (interaction-equivalents) since the
     /// last rebuild.
     excess: f64,
@@ -148,16 +149,19 @@ impl RebuildTuner {
     /// Record one step's walk work and the tree's current ageing metric:
     /// the mean relative inflation of the leaf bounding radii since the
     /// fresh build (leaf bloat is what makes the MAC open more cells).
-    fn record_walk(&mut self, interactions: u64, leaf_bmax: &[f64]) {
-        if self.fresh_leaf_bmax.is_empty() {
-            self.fresh_leaf_bmax = leaf_bmax.to_vec();
+    fn record_walk(&mut self, interactions: u64, tree: &Octree) {
+        if self.fresh_bmax.is_empty() {
+            let leaf_bmax = tree.bmax.iter().enumerate();
+            let leaf_bmax = leaf_bmax.map(|(v, &b)| if tree.is_leaf(v) { b as f64 } else { 0.0 });
+            self.fresh_bmax.extend(leaf_bmax);
             return;
         }
         let mut ageing = 0.0;
         let mut counted = 0usize;
-        for (now, fresh) in leaf_bmax.iter().zip(&self.fresh_leaf_bmax) {
-            if *fresh > 0.0 {
-                ageing += (now / fresh - 1.0).max(0.0);
+        // Internal nodes hold 0 and are skipped like degenerate leaves.
+        for (&now, &fresh) in tree.bmax.iter().zip(&self.fresh_bmax) {
+            if fresh > 0.0 {
+                ageing += (now as f64 / fresh - 1.0).max(0.0);
                 counted += 1;
             }
         }
@@ -168,7 +172,7 @@ impl RebuildTuner {
 
     fn record_build(&mut self, n_particles: usize) {
         self.threshold = REBUILD_COST_INTERACTIONS_PER_PARTICLE * n_particles as f64;
-        self.fresh_leaf_bmax.clear();
+        self.fresh_bmax.clear();
         self.excess = 0.0;
     }
 
@@ -314,7 +318,9 @@ impl Gothic {
         let mut wall = WallTimes::default();
 
         // --- begin block step ------------------------------------------
+        let span = telemetry::span("begin step");
         let (mut active, mut drift) = self.blocks.begin_step();
+        drop(span);
 
         // --- predict -----------------------------------------------------
         let span = telemetry::span(Function::Predict.name());
@@ -401,15 +407,13 @@ impl Gothic {
         };
 
         // --- price + tune ---------------------------------------------------
+        let span = telemetry::span("price+tune");
         let profile = price_step(&events, &self.cfg.arch, self.cfg.mode, self.cfg.barrier);
         if rebuilt {
             self.tuner.record_build(n);
         }
-        let leaf_bmax: Vec<f64> = (0..self.tree.n_nodes())
-            .filter(|&v| self.tree.is_leaf(v))
-            .map(|v| self.tree.bmax[v] as f64)
-            .collect();
-        self.tuner.record_walk(events.walk.interactions, &leaf_bmax);
+        self.tuner.record_walk(events.walk.interactions, &self.tree);
+        drop(span);
 
         self.steps_since_rebuild += 1;
         self.step_count += 1;

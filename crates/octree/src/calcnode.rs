@@ -4,109 +4,110 @@
 //! the bounding radius `b_J` of its matter (the "size of the group of
 //! distant particles" in the MAC, Eq. 2). GOTHIC processes the tree level
 //! by level from the leaves upward, separating levels with grid-wide
-//! synchronizations (21 per step on the M31 model — Appendix A); we
-//! mirror that: each level is one parallel pass, and the pass count is
-//! recorded as `grid_syncs`.
+//! synchronizations (21 per step on the M31 model — Appendix A), and the
+//! modeled event counts keep that shape (`grid_syncs`). The host runs it
+//! in two passes instead: one pool pass summarises every leaf straight
+//! from its particles, whatever its level — nearly all of the work — and
+//! a serial bottom-up pass folds the few internal nodes from their
+//! children. Each node's arithmetic and summation order are those of the
+//! level-by-level schedule, so the summaries are bit-identical to it.
 
-use crate::tree::Octree;
+use crate::tree::{Octree, NO_CHILD};
 use gpu_model::CalcNodeEvents;
 use nbody::{Real, Vec3};
+
+/// Centre of mass from an accumulated mass and mass-weighted position.
+fn centre(m: f64, c: [f64; 3]) -> Vec3 {
+    if m > 0.0 {
+        Vec3::new((c[0] / m) as Real, (c[1] / m) as Real, (c[2] / m) as Real)
+    } else {
+        Vec3::ZERO
+    }
+}
+
+/// `(com, mass, bmax)` of one leaf's particles.
+fn leaf_summary(pos: &[Vec3], mass: &[Real]) -> (Vec3, Real, Real) {
+    let mut m = 0.0f64;
+    let mut c = [0.0f64; 3];
+    for (p, &pm) in pos.iter().zip(mass) {
+        let pm = pm as f64;
+        m += pm;
+        c[0] += pm * p.x as f64;
+        c[1] += pm * p.y as f64;
+        c[2] += pm * p.z as f64;
+    }
+    let com = centre(m, c);
+    // Bounding radius of the node's matter around the COM.
+    let b = pos
+        .iter()
+        .fold(0.0 as Real, |b, p| b.max((*p - com).norm()));
+    (com, m as Real, b)
+}
 
 /// Fill `tree.com`, `tree.mass`, `tree.bmax`. `pos`/`mass` must be the
 /// Morton-ordered particle arrays the tree was built over. Returns the
 /// event counts for the performance model.
 pub fn calc_node(tree: &mut Octree, pos: &[Vec3], mass: &[Real]) -> CalcNodeEvents {
     assert_eq!(pos.len(), tree.keys.len());
-    let mut events = CalcNodeEvents {
-        nodes: tree.n_nodes() as u64,
-        child_accumulations: 0,
+    let n_nodes = tree.n_nodes();
+
+    // Pass 1 (pool): every leaf from its own particles. Internal nodes
+    // get a placeholder that pass 2 overwrites.
+    let Octree {
+        child_start,
+        child_count,
+        pstart,
+        pcount,
+        com,
+        mass: node_mass,
+        bmax,
+        ..
+    } = tree;
+    let leaves: Vec<(Vec3, Real, Real)> = parallel::map_range(0..n_nodes, |v| {
+        if child_start[v] != NO_CHILD {
+            return (Vec3::ZERO, 0.0, 0.0);
+        }
+        let range = pstart[v] as usize..(pstart[v] + pcount[v]) as usize;
+        leaf_summary(&pos[range.clone()], &mass[range])
+    });
+
+    // Pass 2 (serial): the breadth-first layout gives children larger
+    // ids than their parent, so descending ids reach every child first.
+    let mut accum = 0u64;
+    for v in (0..n_nodes).rev() {
+        if child_start[v] == NO_CHILD {
+            (com[v], node_mass[v], bmax[v]) = leaves[v];
+            accum += pcount[v] as u64;
+            continue;
+        }
+        let kids = child_start[v] as usize..child_start[v] as usize + child_count[v] as usize;
+        let mut m = 0.0f64;
+        let mut c = [0.0f64; 3];
+        for ci in kids.clone() {
+            let cm = node_mass[ci] as f64;
+            let cc = com[ci];
+            m += cm;
+            c[0] += cm * cc.x as f64;
+            c[1] += cm * cc.y as f64;
+            c[2] += cm * cc.z as f64;
+        }
+        let centre = centre(m, c);
+        let mut b: Real = 0.0;
+        for ci in kids.clone() {
+            b = b.max((com[ci] - centre).norm() + bmax[ci]);
+        }
+        (com[v], node_mass[v], bmax[v]) = (centre, m as Real, b);
+        accum += kids.len() as u64;
+    }
+
+    CalcNodeEvents {
+        nodes: n_nodes as u64,
+        child_accumulations: accum,
         levels: tree.n_levels() as u64,
         // One grid barrier after every level pass, plus the initial leaf
         // pass — matching GOTHIC's per-step count (~ tree depth).
         grid_syncs: tree.n_levels() as u64 + 1,
-    };
-
-    // Per-level bottom-up passes. Within a level, nodes only read their
-    // children (strictly deeper level) or their own particles, so each
-    // pass parallelises freely.
-    let mut accum = 0u64;
-    for l in (0..tree.n_levels()).rev() {
-        let lo = tree.level_start[l] as usize;
-        let hi = tree.level_start[l + 1] as usize;
-
-        // Split borrows: children of level-l nodes live at indices >= hi.
-        let (com_lo, com_hi) = tree.com.split_at_mut(hi);
-        let (mass_lo, mass_hi) = tree.mass.split_at_mut(hi);
-        let (bmax_lo, bmax_hi) = tree.bmax.split_at_mut(hi);
-        let child_start = &tree.child_start;
-        let child_count = &tree.child_count;
-        let pstart = &tree.pstart;
-        let pcount = &tree.pcount;
-
-        // Parallel map over the level's nodes (children are read-only),
-        // then a serial chunk-ordered write-back — bit-identical at any
-        // thread count because each node's summary is self-contained.
-        let com_hi = &com_hi[..];
-        let mass_hi = &mass_hi[..];
-        let bmax_hi = &bmax_hi[..];
-        let summaries: Vec<(Vec3, Real, Real, u64)> = parallel::map_range(lo..hi, |v| {
-            let leaf = child_start[v] == crate::tree::NO_CHILD;
-            let mut m = 0.0f64;
-            let mut c = [0.0f64; 3];
-            let mut pairs = 0u64;
-            if leaf {
-                for p in pstart[v] as usize..(pstart[v] + pcount[v]) as usize {
-                    let pm = mass[p] as f64;
-                    m += pm;
-                    c[0] += pm * pos[p].x as f64;
-                    c[1] += pm * pos[p].y as f64;
-                    c[2] += pm * pos[p].z as f64;
-                    pairs += 1;
-                }
-            } else {
-                let s = child_start[v] as usize;
-                for ci in s..s + child_count[v] as usize {
-                    // Children are below `hi` in index? No: children
-                    // have larger ids (BFS layout) — they live in the
-                    // `_hi` halves.
-                    let cm = mass_hi[ci - hi] as f64;
-                    let cc = com_hi[ci - hi];
-                    m += cm;
-                    c[0] += cm * cc.x as f64;
-                    c[1] += cm * cc.y as f64;
-                    c[2] += cm * cc.z as f64;
-                    pairs += 1;
-                }
-            }
-            let com = if m > 0.0 {
-                Vec3::new((c[0] / m) as Real, (c[1] / m) as Real, (c[2] / m) as Real)
-            } else {
-                Vec3::ZERO
-            };
-            // Bounding radius of the node's matter around the COM.
-            let mut b: Real = 0.0;
-            if leaf {
-                let range = pstart[v] as usize..(pstart[v] + pcount[v]) as usize;
-                for pp in &pos[range] {
-                    b = b.max((*pp - com).norm());
-                }
-            } else {
-                let s = child_start[v] as usize;
-                for ci in s..s + child_count[v] as usize {
-                    b = b.max((com_hi[ci - hi] - com).norm() + bmax_hi[ci - hi]);
-                }
-            }
-            (com, m as Real, b, pairs)
-        });
-        for (off, &(com, m, b, pairs)) in summaries.iter().enumerate() {
-            com_lo[lo + off] = com;
-            mass_lo[lo + off] = m;
-            bmax_lo[lo + off] = b;
-            accum += pairs;
-        }
     }
-    events.child_accumulations = accum;
-    events
 }
 
 #[cfg(test)]

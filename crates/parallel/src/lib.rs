@@ -1,10 +1,16 @@
-//! In-tree work-stealing scoped thread pool (std-only).
+//! In-tree work-stealing thread pool with resident workers (std-only).
 //!
 //! This crate replaces rayon in the octree/devsort/nbody hot paths. It
 //! is built from three pieces, all standard library:
 //!
-//! 1. [`std::thread::scope`] — workers borrow the caller's data, so no
-//!    `'static` bounds, no channels, no `Arc` plumbing;
+//! 1. resident workers — threads spawned on first use, up to the largest
+//!    count any region asked for, that stay on their core between
+//!    regions and serve them through a per-worker mailbox; the caller
+//!    runs as worker 0. The body borrows the caller's data (no
+//!    `'static` bounds): the caller blocks until every engaged worker
+//!    has finished, also when its own chunk panics, so the borrow
+//!    outlives every use. A worker left idle for 2 ms exits and is
+//!    spawned again by the next region that needs it;
 //! 2. chunked work queues with atomic cursors — the item range is split
 //!    into one contiguous sub-range per worker, each with an
 //!    [`AtomicUsize`] cursor; a worker drains its own range with
@@ -13,7 +19,7 @@
 //! 3. deterministic chunk-ordered reduction — every chunk writes its
 //!    result into a slot indexed by chunk number, and any combination
 //!    of per-chunk results happens serially in chunk order after the
-//!    scope joins.
+//!    region joins.
 //!
 //! Because chunk boundaries depend only on the item count and a fixed
 //! chunk size — never on the thread count or on scheduling — the
@@ -23,15 +29,26 @@
 //! property of the decomposition, and the pool is free to execute
 //! chunks in any order.
 //!
+//! One region holds the workers at a time. A caller that finds them
+//! busy — a second `gothicd` job, or a region nested inside a chunk —
+//! runs its chunks inline on its own thread: it never waits for the
+//! pool, and its result is the same by the argument above.
+//!
+//! A panic in any chunk re-panics the caller with the original payload,
+//! after every chunk that had started has finished; the pool stays
+//! usable.
+//!
 //! Thread count: the `GOTHIC_THREADS` environment variable, clamped to
 //! at least 1, else [`std::thread::available_parallelism`]. Tests pin a
 //! count for the current thread (only) with [`with_thread_count`], so
-//! concurrently running tests cannot race on a global.
+//! concurrently running tests cannot race on a global. Either caps the
+//! threads a region engages, the caller included.
 //!
-//! Observability: every parallel region opens a `"pool"` telemetry span
-//! on the *calling* thread, so in traces it nests under whichever
-//! pipeline phase (`walk tree`, `calc node`, …) invoked it, and bumps
-//! the `pool.jobs` / `pool.chunks` / `pool.steals` counters.
+//! Observability: every multi-chunk region, on the workers or inline,
+//! opens a `"pool"` telemetry span on the *calling* thread, so in traces
+//! it nests under whichever pipeline phase (`walk tree`, `calc node`, …)
+//! invoked it, and bumps the `pool.jobs` / `pool.chunks` /
+//! `pool.steals` / `pool.chunk_threads` counters.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -41,6 +58,7 @@ use std::sync::OnceLock;
 use telemetry::metrics::counters as ctr;
 
 pub mod pool;
+mod resident;
 mod slots;
 
 pub use pool::{Bounded, Job, PushError, Submitter, WorkerPool};
@@ -126,7 +144,10 @@ impl Queue {
 ///
 /// This is the pool's core primitive; the typed helpers below build
 /// their determinism guarantees on top of it. `body` runs on the
-/// calling thread and on scoped workers; execution order is arbitrary.
+/// calling thread and on resident workers, in arbitrary order, and
+/// every chunk has finished when this returns — also when it returns by
+/// unwinding. A panic in any chunk re-panics the caller with the
+/// original payload. When the pool is busy, the chunks run inline.
 pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let threads = current_threads().min(n_chunks.max(1));
     if threads <= 1 || n_chunks <= 1 {
@@ -141,6 +162,14 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let _span = telemetry::span("pool");
     ctr::POOL_JOBS.add(1);
     ctr::POOL_CHUNKS.add(n_chunks as u64);
+
+    // Another region holds the workers (a concurrent caller, or this
+    // region is nested inside a chunk): run inline rather than wait.
+    let Some(crew) = resident::acquire(threads - 1) else {
+        ctr::POOL_CHUNK_THREADS.add(1);
+        (0..n_chunks).for_each(body);
+        return;
+    };
 
     // Split 0..n_chunks into `threads` contiguous ranges (sizes differ
     // by at most one). These are the per-worker queues.
@@ -161,10 +190,12 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let body = &body;
 
     let worker = move |me: usize| {
+        let mut ran = 0u64;
         let mut steals = 0u64;
         // Drain the owned range first — contiguous, cache-friendly.
         while let Some(i) = queues[me].claim() {
             body(i);
+            ran += 1;
         }
         // Then steal: repeatedly pick the most loaded other queue.
         loop {
@@ -181,14 +212,14 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
         if steals > 0 {
             ctr::POOL_STEALS.add(steals);
         }
+        if ran + steals > 0 {
+            ctr::POOL_CHUNK_THREADS.add(1);
+        }
     };
 
-    std::thread::scope(|scope| {
-        for w in 1..threads {
-            scope.spawn(move || worker(w));
-        }
-        worker(0);
-    });
+    let region = crew.dispatch(threads - 1, &worker);
+    worker(0);
+    region.join();
 }
 
 /// Map `f` over fixed-size chunks of `items`, returning one result per
@@ -306,13 +337,67 @@ where
 mod tests {
     use super::*;
 
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+    use std::time::{Duration, Instant};
+
+    /// The threads that started a chunk of the running [`on_workers`]
+    /// region.
+    static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+    /// Run a `threads`-wide region under the test lock (a concurrent
+    /// test holding the pool would make it run inline) and check that
+    /// more than one thread took its chunks.
+    fn on_workers<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+        let _g = telemetry::sink::test_lock();
+        SEEN.lock().unwrap().clear();
+        let out = with_thread_count(threads, f);
+        let seen = SEEN.lock().unwrap().len();
+        assert!(seen > 1, "one thread took every chunk at {threads} threads");
+        out
+    }
+
+    /// Called at the start of every chunk of an [`on_workers`] region.
+    /// The first thread to get here waits (10 s at most) for a second,
+    /// so a trivial region cannot end before the workers wake.
+    fn chunk_start() {
+        let me = thread::current().id();
+        {
+            let mut seen = SEEN.lock().unwrap();
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+            if seen.len() > 1 {
+                return;
+            }
+        }
+        let t0 = Instant::now();
+        while SEEN.lock().unwrap().len() < 2 && t0.elapsed() < Duration::from_secs(10) {
+            thread::yield_now();
+        }
+    }
+
+    fn square_xor(x: u64) -> u64 {
+        x.wrapping_mul(x) ^ 0xABCD
+    }
+
     #[test]
     fn par_map_matches_serial_at_every_thread_count() {
         let items: Vec<u64> = (0..10_000).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x.wrapping_mul(x) ^ 0xABCD).collect();
-        for threads in [1, 2, 4, 8] {
-            let got =
-                with_thread_count(threads, || par_map(&items, |&x| x.wrapping_mul(x) ^ 0xABCD));
+        let serial: Vec<u64> = items.iter().map(|&x| square_xor(x)).collect();
+        assert_eq!(
+            with_thread_count(1, || par_map(&items, |&x| square_xor(x))),
+            serial
+        );
+        for threads in [2, 4, 8] {
+            let got = on_workers(threads, || {
+                par_map(&items, |&x| {
+                    if x % DEFAULT_CHUNK as u64 == 0 {
+                        chunk_start();
+                    }
+                    square_xor(x)
+                })
+            });
             assert_eq!(got, serial, "threads = {threads}");
         }
     }
@@ -320,8 +405,11 @@ mod tests {
     #[test]
     fn map_chunks_preserves_chunk_order() {
         let items: Vec<u32> = (0..5000).collect();
-        let sums = with_thread_count(4, || {
-            map_chunks(&items, 512, |ci, chunk| (ci, chunk.iter().sum::<u32>()))
+        let sums = on_workers(4, || {
+            map_chunks(&items, 512, |ci, chunk| {
+                chunk_start();
+                (ci, chunk.iter().sum::<u32>())
+            })
         });
         assert_eq!(sums.len(), 5000usize.div_ceil(512));
         for (i, &(ci, _)) in sums.iter().enumerate() {
@@ -333,7 +421,14 @@ mod tests {
 
     #[test]
     fn map_range_covers_offset_ranges() {
-        let got = with_thread_count(3, || map_range(100..4200, |i| i * 2));
+        let got = on_workers(3, || {
+            map_range(100..4200, |i| {
+                if (i - 100) % DEFAULT_CHUNK == 0 {
+                    chunk_start();
+                }
+                i * 2
+            })
+        });
         assert_eq!(got.len(), 4100);
         assert_eq!(got[0], 200);
         assert_eq!(got[4099], 8398);
@@ -342,7 +437,14 @@ mod tests {
     #[test]
     fn for_each_mut_touches_every_element_once() {
         let mut v = vec![0u32; 9999];
-        with_thread_count(8, || for_each_mut(&mut v, |i, x| *x += i as u32 + 1));
+        on_workers(8, || {
+            for_each_mut(&mut v, |i, x| {
+                if i % DEFAULT_CHUNK == 0 {
+                    chunk_start();
+                }
+                *x += i as u32 + 1
+            })
+        });
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, i as u32 + 1);
         }
@@ -352,8 +454,11 @@ mod tests {
     fn for_each_mut2_updates_both_slices() {
         let mut a = vec![0u64; 3000];
         let mut b = vec![0u64; 3000];
-        with_thread_count(4, || {
+        on_workers(4, || {
             for_each_mut2(&mut a, &mut b, |i, x, y| {
+                if i % DEFAULT_CHUNK == 0 {
+                    chunk_start();
+                }
                 *x = i as u64;
                 *y = 2 * i as u64;
             })
@@ -376,12 +481,13 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let n = 1000;
         let hits: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        with_thread_count(8, || {
+        on_workers(8, || {
             run_chunked(n, |i| {
+                chunk_start();
                 hits[i].fetch_add(1, Ordering::Relaxed);
                 // Skew the work so stealing actually happens.
                 if i < 32 {
-                    std::thread::sleep(std::time::Duration::from_micros(200));
+                    thread::sleep(Duration::from_micros(200));
                 }
             })
         });
@@ -444,8 +550,9 @@ mod tests {
         // must still cover 0..n exactly.
         for (n, t) in [(7usize, 4usize), (13, 8), (1023, 16), (5, 2)] {
             let sum = std::sync::atomic::AtomicUsize::new(0);
-            with_thread_count(t, || {
+            on_workers(t, || {
                 run_chunked(n, |i| {
+                    chunk_start();
                     sum.fetch_add(i + 1, Ordering::Relaxed);
                 })
             });

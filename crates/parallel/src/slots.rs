@@ -17,7 +17,7 @@ pub(crate) struct SlotWriter<U> {
 
 // Safety: workers only call `write` on disjoint indices (the pool's
 // claim protocol hands out each index exactly once), and `into_vec`
-// runs after the scope joins every worker.
+// runs after the region has joined every worker.
 unsafe impl<U: Send> Sync for SlotWriter<U> {}
 
 impl<U> SlotWriter<U> {
@@ -57,7 +57,7 @@ impl<U> SlotWriter<U> {
     }
 }
 
-/// A raw pointer that may cross the scope boundary into workers.
+/// A raw pointer that may cross into the workers of a region.
 ///
 /// Safety rests with the user: the pool only dereferences it at
 /// indices inside the chunk it claimed, and chunks are disjoint.

@@ -345,6 +345,9 @@ pub mod counters {
         POOL_JOBS => "pool.jobs",
         POOL_CHUNKS => "pool.chunks",
         POOL_STEALS => "pool.steals",
+        // Threads that ran at least one chunk, summed over regions:
+        // over `pool.jobs`, the mean parallelism a region reached.
+        POOL_CHUNK_THREADS => "pool.chunk_threads",
         // Simulation job service (server / gothicd).
         SERVER_ACCEPTED => "server.accepted",
         SERVER_REJECTED_BUSY => "server.rejected_busy",

@@ -5,22 +5,51 @@
 
 use gothic::galaxy::{plummer_model, M31Model};
 use gothic::nbody::Aabb;
-use gothic::octree::{build_tree, calc_node, morton_keys, walk_tree, BuildConfig, Mac, WalkConfig};
+use gothic::octree::{
+    build_tree, calc_node, morton_keys, walk_tree, BuildConfig, Mac, Octree, WalkConfig,
+};
 use gothic::telemetry::{self, json};
 use gothic::{Gothic, RunConfig};
 
 const THREADS: [usize; 3] = [2, 4, 8];
 
+/// Run `run` at `threads` and `check` its output until a run had a
+/// region in which more than one thread took chunks. A region much
+/// shorter than a worker's start-up can finish on one thread, so this
+/// retries up to 20 runs, each one checked.
+///
+/// Every test here holds `telemetry::sink::test_lock` for its whole
+/// body: a region of another test (even the sampling of its fixture)
+/// would hold the workers and make these regions run inline.
+fn on_workers<T>(threads: usize, run: impl Fn() -> T, check: impl Fn(T)) {
+    use telemetry::metrics::counters::{POOL_CHUNK_THREADS, POOL_JOBS};
+    telemetry::set_metrics_enabled(true);
+    let parallel_run = (0..20).any(|_| {
+        let (jobs0, takers0) = (POOL_JOBS.value(), POOL_CHUNK_THREADS.value());
+        check(parallel::with_thread_count(threads, &run));
+        POOL_CHUNK_THREADS.value() - takers0 > POOL_JOBS.value() - jobs0
+    });
+    telemetry::set_metrics_enabled(false);
+    assert!(
+        parallel_run,
+        "no region ran on more than one thread in 20 runs at {threads} threads"
+    );
+}
+
 /// Morton keys are an element-wise pool map — the key vector must not
 /// depend on the worker count.
 #[test]
 fn morton_keys_are_thread_count_invariant() {
+    let _g = telemetry::sink::test_lock();
     let ps = M31Model::paper_model().sample(20_000, 3);
     let cube = Aabb::from_points(&ps.pos).bounding_cube();
     let base = parallel::with_thread_count(1, || morton_keys(&ps.pos, &cube));
     for t in THREADS {
-        let keys = parallel::with_thread_count(t, || morton_keys(&ps.pos, &cube));
-        assert_eq!(keys, base, "Morton keys diverge at {t} threads");
+        on_workers(
+            t,
+            || morton_keys(&ps.pos, &cube),
+            |keys| assert_eq!(keys, base, "Morton keys diverge at {t} threads"),
+        );
     }
 }
 
@@ -29,30 +58,30 @@ fn morton_keys_are_thread_count_invariant() {
 /// chunk decomposition and ordered merge, observed end to end.
 #[test]
 fn tree_forces_are_thread_count_invariant() {
+    let _g = telemetry::sink::test_lock();
     let n = 8192;
-    let forces_at = |threads: usize| {
-        parallel::with_thread_count(threads, || {
-            let mut ps = plummer_model(n, 100.0, 1.0, 21);
-            let mut tree = build_tree(&mut ps, &BuildConfig::default());
-            calc_node(&mut tree, &ps.pos, &ps.mass);
-            let active: Vec<u32> = (0..n as u32).collect();
-            let a_old = vec![1.0f32; n];
-            let cfg = WalkConfig {
-                mac: Mac::fiducial(),
-                eps2: 1e-4,
-                ..WalkConfig::default()
-            };
-            let res = walk_tree(&tree, &ps.pos, &ps.mass, &a_old, &active, &cfg);
-            (res.acc, res.pot, tree.com, tree.mass)
-        })
+    let forces = || {
+        let mut ps = plummer_model(n, 100.0, 1.0, 21);
+        let mut tree = build_tree(&mut ps, &BuildConfig::default());
+        calc_node(&mut tree, &ps.pos, &ps.mass);
+        let active: Vec<u32> = (0..n as u32).collect();
+        let a_old = vec![1.0f32; n];
+        let cfg = WalkConfig {
+            mac: Mac::fiducial(),
+            eps2: 1e-4,
+            ..WalkConfig::default()
+        };
+        let res = walk_tree(&tree, &ps.pos, &ps.mass, &a_old, &active, &cfg);
+        (res.acc, res.pot, tree.com, tree.mass)
     };
-    let base = forces_at(1);
+    let base = parallel::with_thread_count(1, forces);
     for t in THREADS {
-        let got = forces_at(t);
-        assert_eq!(got.0, base.0, "accelerations diverge at {t} threads");
-        assert_eq!(got.1, base.1, "potentials diverge at {t} threads");
-        assert_eq!(got.2, base.2, "node COMs diverge at {t} threads");
-        assert_eq!(got.3, base.3, "node masses diverge at {t} threads");
+        on_workers(t, forces, |got| {
+            assert_eq!(got.0, base.0, "accelerations diverge at {t} threads");
+            assert_eq!(got.1, base.1, "potentials diverge at {t} threads");
+            assert_eq!(got.2, base.2, "node COMs diverge at {t} threads");
+            assert_eq!(got.3, base.3, "node masses diverge at {t} threads");
+        });
     }
 }
 
@@ -61,20 +90,58 @@ fn tree_forces_are_thread_count_invariant() {
 /// worker count.
 #[test]
 fn pipeline_steps_are_thread_count_invariant() {
-    let run_at = |threads: usize| {
-        parallel::with_thread_count(threads, || {
-            let particles = plummer_model(2048, 100.0, 1.0, 5);
-            let mut sim = Gothic::new(particles, RunConfig::default());
-            for _ in 0..3 {
-                sim.step();
-            }
-            (sim.ps.pos.clone(), sim.ps.vel.clone(), sim.ps.acc.clone())
-        })
+    let _g = telemetry::sink::test_lock();
+    let run = || {
+        let particles = plummer_model(2048, 100.0, 1.0, 5);
+        let mut sim = Gothic::new(particles, RunConfig::default());
+        for _ in 0..3 {
+            sim.step();
+        }
+        (sim.ps.pos.clone(), sim.ps.vel.clone(), sim.ps.acc.clone())
     };
-    let base = run_at(1);
+    let base = parallel::with_thread_count(1, run);
     for t in [2, 4] {
-        assert_eq!(run_at(t), base, "pipeline state diverges at {t} threads");
+        on_workers(t, run, |state| {
+            assert_eq!(state, base, "pipeline state diverges at {t} threads")
+        });
     }
+}
+
+/// FNV-1a 64 over the raw bits of every node's `com`, `mass` and `bmax`.
+fn node_digest(tree: &Octree) -> u64 {
+    let words = tree
+        .com
+        .iter()
+        .flat_map(|c| [c.x, c.y, c.z])
+        .chain(tree.mass.iter().copied())
+        .chain(tree.bmax.iter().copied());
+    let bytes: Vec<u8> = words.flat_map(|w| w.to_bits().to_le_bytes()).collect();
+    gothic::fnv1a64(&bytes)
+}
+
+/// calcNode's summaries on an M31 sample are pinned bit for bit, at one
+/// thread and at four: any change to a node's arithmetic or summation
+/// order shows here.
+#[test]
+fn calc_node_summaries_match_pinned_digest() {
+    let _g = telemetry::sink::test_lock();
+    let mut ps = M31Model::paper_model().sample(16_384, 7);
+    let tree = build_tree(&mut ps, &BuildConfig::default());
+    let digest = || {
+        let mut tree = tree.clone();
+        calc_node(&mut tree, &ps.pos, &ps.mass);
+        node_digest(&tree)
+    };
+    let check = |t: usize| {
+        move |got: u64| {
+            assert_eq!(
+                got, 0x5c51_4e15_9dc5_c0ed,
+                "calcNode digest changed at {t} threads"
+            )
+        }
+    };
+    check(1)(parallel::with_thread_count(1, digest));
+    on_workers(4, digest, check(4));
 }
 
 fn type_of(doc: &json::Value) -> &str {

@@ -147,3 +147,26 @@ fn walk_events_scale_with_accuracy() {
     assert!(coarse < medium, "coarse {coarse} < medium {medium}");
     assert!(medium < fine, "medium {medium} < fine {fine}");
 }
+
+/// The auto-tuner's rebuild decisions follow from the refreshed leaf
+/// `bmax` bits and the walk's interaction counts, so the schedule of a
+/// fixed run pins calcNode, the walk and the tuner's ageing sum at once.
+#[test]
+fn auto_rebuild_schedule_is_pinned() {
+    let particles = gothic::galaxy::plummer_model(4096, 100.0, 10.0, 9);
+    let cfg = RunConfig {
+        rebuild: RebuildPolicy::Auto,
+        ..RunConfig::default()
+    };
+    let mut sim = Gothic::new(particles, cfg);
+    let rebuilt: Vec<u64> = sim
+        .run(96)
+        .iter()
+        .filter(|r| r.rebuilt)
+        .map(|r| r.step)
+        .collect();
+    assert_eq!(rebuilt, PINNED_AUTO_REBUILDS);
+}
+
+const PINNED_AUTO_REBUILDS: [u64; 16] =
+    [1, 7, 14, 19, 27, 34, 44, 49, 54, 60, 64, 69, 77, 84, 88, 96];
