@@ -4,7 +4,7 @@
 //! nvprof counters (Fig. 6) before using it to explain the Volta/Pascal
 //! gap with the `max(int, fp)` overlap argument (Fig. 7). This module
 //! closes the same loop inside the reproduction: the simt interpreter's
-//! per-pipe profiler ([`simt::prof`]) plays nvprof, the [`crate::events`]
+//! per-pipe counts ([`simt::prof`], read from each run) play nvprof, the [`crate::events`]
 //! mixes play the analytic model, and [`table2_measurements`] runs a
 //! representative micro-kernel for each of the five Table 2 functions and
 //! returns both sides for comparison.
@@ -114,7 +114,7 @@ const REDUCE_TTOT: usize = 256;
 const TSUB: u32 = 32;
 const INTEGRATE_N: usize = 256;
 
-/// Run one profiled micro-kernel per Table 2 function and pair each
+/// Run one micro-kernel per Table 2 function and pair each
 /// measurement with its modeled mix. `volta_mode` selects both the
 /// scheduler (Independent vs. Lockstep) and the binary flavour
 /// (`__syncwarp()` present vs. compiled away), mirroring
@@ -126,20 +126,18 @@ pub fn table2_measurements(volta_mode: bool) -> Vec<MeasuredKernel> {
         Scheduler::Lockstep
     };
 
-    let (walk_run, walk_prof) = mb::run_gravity_flush_profiled(SOURCES as u32, 1e-4, sched);
-    let (calc_run, calc_prof) = mb::run_reduction_profiled(REDUCE_TTOT, TSUB, volta_mode, sched);
-    let (make_run, make_prof) = mb::run_scan_profiled(REDUCE_TTOT, TSUB, volta_mode, sched);
-    let (pred_run, pred_prof) = mb::run_predict_profiled(INTEGRATE_N, sched);
-    let (corr_run, corr_prof) = mb::run_correct_profiled(INTEGRATE_N, sched);
-    for (name, run) in [
-        ("gravity_flush", &walk_run),
-        ("reduction", &calc_run),
-        ("scan", &make_run),
-        ("predict", &pred_run),
-        ("correct", &corr_run),
-    ] {
+    let [walk_prof, calc_prof, make_prof, pred_prof, corr_prof] = [
+        mb::run_gravity_flush(SOURCES as u32, 1e-4, sched),
+        mb::run_reduction(REDUCE_TTOT, TSUB, volta_mode, sched),
+        mb::run_scan(REDUCE_TTOT, TSUB, volta_mode, sched),
+        mb::run_predict(INTEGRATE_N, sched),
+        mb::run_correct(INTEGRATE_N, sched),
+    ]
+    .map(|run| {
+        let name = &run.profile.kernel;
         assert!(run.correct, "{name} micro-kernel produced wrong results");
-    }
+        run.profile
+    });
 
     let walk_model = WalkEvents {
         groups: SINKS / 32,

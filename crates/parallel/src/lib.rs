@@ -35,8 +35,8 @@
 //! pool, and its result is the same by the argument above.
 //!
 //! A panic in any chunk re-panics the caller with the original payload,
-//! after every chunk that had started has finished; the pool stays
-//! usable.
+//! after every chunk that had started has finished; chunks not yet
+//! claimed when it panicked never start. The pool stays usable.
 //!
 //! Thread count: the `GOTHIC_THREADS` environment variable, clamped to
 //! at least 1, else [`std::thread::available_parallelism`]. Tests pin a
@@ -52,7 +52,7 @@
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use telemetry::metrics::counters as ctr;
@@ -115,18 +115,21 @@ pub fn with_thread_count<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// One worker's contiguous sub-range of chunk indices, drained through
 /// an atomic cursor. The owner and thieves both claim indices with
 /// `fetch_add`; indices at or past `end` are discarded, so every index
-/// is claimed exactly once across all workers.
+/// is claimed at most once across all workers, and exactly once unless
+/// the region is abandoned.
 struct Queue {
     next: AtomicUsize,
     end: usize,
 }
 
 impl Queue {
+    /// Claim the next index, or `None` when the range is drained or a
+    /// chunk of the region has panicked (`abandon` is set).
     #[inline]
-    fn claim(&self) -> Option<usize> {
+    fn claim(&self, abandon: &AtomicBool) -> Option<usize> {
         // Opportunistic load first: once drained, stay drained without
         // growing the counter unboundedly under a steal storm.
-        if self.next.load(Ordering::Relaxed) >= self.end {
+        if abandon.load(Ordering::Relaxed) || self.next.load(Ordering::Relaxed) >= self.end {
             return None;
         }
         let i = self.next.fetch_add(1, Ordering::Relaxed);
@@ -146,8 +149,9 @@ impl Queue {
 /// their determinism guarantees on top of it. `body` runs on the
 /// calling thread and on resident workers, in arbitrary order, and
 /// every chunk has finished when this returns — also when it returns by
-/// unwinding. A panic in any chunk re-panics the caller with the
-/// original payload. When the pool is busy, the chunks run inline.
+/// unwinding, in which case no chunk starts after the panic. A panic in
+/// any chunk re-panics the caller with the original payload. When the
+/// pool is busy, the chunks run inline.
 pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let threads = current_threads().min(n_chunks.max(1));
     if threads <= 1 || n_chunks <= 1 {
@@ -188,23 +192,29 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     debug_assert_eq!(start, n_chunks);
     let queues = &queues;
     let body = &body;
+    // Raised by a chunk's unwind, on the caller or on a worker: the other
+    // threads stop claiming, so the caller re-panics after the chunks
+    // already running rather than after all of them.
+    let abandon = &AtomicBool::new(false);
 
     let worker = move |me: usize| {
+        let _abandon_on_unwind = AbandonOnUnwind(abandon);
         let mut ran = 0u64;
         let mut steals = 0u64;
         // Drain the owned range first — contiguous, cache-friendly.
-        while let Some(i) = queues[me].claim() {
+        while let Some(i) = queues[me].claim(abandon) {
             body(i);
             ran += 1;
         }
-        // Then steal: repeatedly pick the most loaded other queue.
-        loop {
+        // Then steal: repeatedly pick the most loaded other queue, until
+        // none is left or the region is abandoned.
+        while !abandon.load(Ordering::Relaxed) {
             let victim = (0..queues.len())
                 .filter(|&q| q != me)
                 .max_by_key(|&q| queues[q].remaining())
                 .filter(|&q| queues[q].remaining() > 0);
             let Some(v) = victim else { break };
-            while let Some(i) = queues[v].claim() {
+            while let Some(i) = queues[v].claim(abandon) {
                 body(i);
                 steals += 1;
             }
@@ -220,6 +230,17 @@ pub fn run_chunked(n_chunks: usize, body: impl Fn(usize) + Sync) {
     let region = crew.dispatch(threads - 1, &worker);
     worker(0);
     region.join();
+}
+
+/// Sets the region's abandon flag when dropped by a panicking chunk.
+struct AbandonOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Map `f` over fixed-size chunks of `items`, returning one result per

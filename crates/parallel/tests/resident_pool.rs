@@ -110,6 +110,12 @@ fn caller_panic_unwinds_only_after_every_started_chunk_finished() {
         finished + 1,
         "a worker chunk outlived the caller's unwind"
     );
+    // The caller panicked in its first chunk: the worker stops claiming
+    // instead of running the rest of the 64.
+    assert!(
+        started < 32,
+        "{started} of 64 chunks started after the panic"
+    );
     assert!(
         err.downcast_ref::<CallerPanic>().is_some(),
         "original payload"

@@ -60,7 +60,7 @@ impl ThreadBlock {
 
     /// Total `__syncwarp` executions across warps.
     pub fn syncwarps(&self) -> u64 {
-        self.warps.iter().map(|w| w.syncwarps).sum()
+        self.warps.iter().map(|w| w.prof.syncwarps).sum()
     }
 
     /// Release a `__syncthreads()` barrier if every live warp has fully

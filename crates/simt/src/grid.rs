@@ -6,7 +6,7 @@
 
 use crate::block::{BlockOutcome, ThreadBlock};
 use crate::ir::Program;
-use crate::prof::{self, KernelProfile, PipeCounts};
+use crate::prof::{KernelProfile, PipeCounts};
 use crate::racecheck::{Racecheck, RacecheckConfig, RacecheckReport};
 use crate::warp::{ExecError, Scheduler, WARP_SIZE};
 
@@ -68,50 +68,29 @@ impl Grid {
         self.run_inner(program, sched, max_steps, None)
     }
 
-    /// Run to completion with per-pipe profiling enabled on every warp
-    /// (see [`crate::prof`]). Returns the execution statistics and the
-    /// launch's [`KernelProfile`]; the profile is also folded into the
-    /// process-wide registry under `kernel`.
-    pub fn run_profiled(
-        &mut self,
-        program: &Program,
-        sched: Scheduler,
-        max_steps: u64,
-        kernel: &str,
-    ) -> Result<(GridStats, KernelProfile), ExecError> {
-        for b in &mut self.blocks {
-            for w in &mut b.warps {
-                w.enable_prof();
-            }
+    /// This grid's per-pipe counts as one launch profile named `kernel`:
+    /// the warps' counts, plus block/grid barrier completions from the
+    /// block and grid counters (the warp layer counts executions, not
+    /// releases). Valid after [`Grid::run`] and [`Grid::run_racechecked`].
+    pub fn profile(&self, kernel: &str) -> KernelProfile {
+        KernelProfile {
+            kernel: kernel.to_string(),
+            launches: 1,
+            warps: self.blocks.iter().map(|b| b.warps.len() as u64).sum(),
+            counts: self.pipe_counts(),
         }
-        let stats = self.run_inner(program, sched, max_steps, None)?;
-        let profile = self.collect_profile(kernel);
-        prof::record_launch(&profile);
-        Ok((stats, profile))
     }
 
-    /// Aggregate this grid's warp-level pipe counts into one launch
-    /// profile. Block/grid barrier completions come from the block and
-    /// grid counters (the warp layer counts executions, not releases).
-    fn collect_profile(&self, kernel: &str) -> KernelProfile {
+    fn pipe_counts(&self) -> PipeCounts {
         let mut counts = PipeCounts::default();
-        let mut warps = 0u64;
         for b in &self.blocks {
             for w in &b.warps {
-                warps += 1;
-                if let Some(p) = w.prof.as_deref() {
-                    counts.merge(p);
-                }
+                counts.merge(&w.prof);
             }
             counts.syncthreads += b.block_syncs;
         }
         counts.grid_barriers += self.grid_syncs;
-        KernelProfile {
-            kernel: kernel.to_string(),
-            launches: 1,
-            warps,
-            counts,
-        }
+        counts
     }
 
     /// Run to completion under the happens-before race detector; returns
@@ -183,18 +162,13 @@ impl Grid {
             }
         }
         let stats = self.stats();
+        let counts = self.pipe_counts();
         use telemetry::metrics::counters as tm;
         tm::SIMT_SCHED_STEPS.add(stats.retired);
-        tm::SIMT_SYNCWARPS.add(stats.syncwarps);
-        tm::SIMT_BLOCK_SYNCS.add(stats.block_syncs);
-        tm::SIMT_GRID_BARRIERS.add(stats.grid_syncs);
-        let shuffles: u64 = self
-            .blocks
-            .iter()
-            .flat_map(|b| b.warps.iter())
-            .map(|w| w.lane_counts.shuffle)
-            .sum();
-        tm::SIMT_SHUFFLE_LANES.add(shuffles);
+        tm::SIMT_SYNCWARPS.add(counts.syncwarps);
+        tm::SIMT_BLOCK_SYNCS.add(counts.syncthreads);
+        tm::SIMT_GRID_BARRIERS.add(counts.grid_barriers);
+        tm::SIMT_SHUFFLE_LANES.add(counts.shuffles + counts.votes);
         Ok(stats)
     }
 
@@ -210,7 +184,7 @@ impl Grid {
                 s.total_cycles += w.cycles;
                 s.max_warp_cycles = s.max_warp_cycles.max(w.cycles);
                 s.retired += w.retired;
-                s.syncwarps += w.syncwarps;
+                s.syncwarps += w.prof.syncwarps;
             }
         }
         s
@@ -253,6 +227,7 @@ mod tests {
             let mut g = Grid::new(6, 64, 4, 4, &p);
             let stats = g.run(&p, sched, 10_000_000).unwrap();
             assert_eq!(stats.grid_syncs, 1);
+            assert_eq!(g.profile("counting").counts.grid_barriers, 1);
             assert_eq!(g.global[0], 6);
             for b in &g.blocks {
                 for w in &b.warps {

@@ -126,126 +126,6 @@ pub fn scan_kernel(tsub: u32, volta_sync: bool) -> Program {
     Program::compile(&body)
 }
 
-/// Outcome of one micro-benchmark run.
-#[derive(Clone, Copy, Debug)]
-pub struct BenchRun {
-    pub stats: GridStats,
-    pub correct: bool,
-}
-
-/// Run the reduction kernel on one block of `ttot` threads and verify the
-/// per-sub-group sums.
-pub fn run_reduction(ttot: usize, tsub: u32, volta_sync: bool, sched: Scheduler) -> BenchRun {
-    let p = reduction_kernel(tsub, volta_sync);
-    let n_groups = ttot / tsub as usize;
-    let mut g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("reduction kernel must terminate");
-    let mut correct = true;
-    for group in 0..n_groups {
-        let base = group * tsub as usize;
-        let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
-        if g.blocks[0].shared[group] != expect {
-            correct = false;
-        }
-    }
-    BenchRun { stats, correct }
-}
-
-/// Run the scan kernel on one block of `ttot` threads and verify the
-/// inclusive prefix sums.
-pub fn run_scan(ttot: usize, tsub: u32, volta_sync: bool, sched: Scheduler) -> BenchRun {
-    let p = scan_kernel(tsub, volta_sync);
-    let mut g = Grid::new(1, ttot, ttot, 4, &p);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("scan kernel must terminate");
-    let mut correct = true;
-    for t in 0..ttot {
-        let expect = (t % tsub as usize + 1) as u32;
-        if g.blocks[0].shared[t] != expect {
-            correct = false;
-        }
-    }
-    BenchRun { stats, correct }
-}
-
-/// [`run_reduction`] under the happens-before race detector.
-pub fn run_reduction_racechecked(
-    ttot: usize,
-    tsub: u32,
-    volta_sync: bool,
-    sched: Scheduler,
-) -> (BenchRun, RacecheckReport) {
-    let p = reduction_kernel(tsub, volta_sync);
-    let n_groups = ttot / tsub as usize;
-    let mut g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
-    let (stats, report) = g
-        .run_racechecked(&p, sched, 50_000_000, RacecheckConfig::default())
-        .expect("reduction kernel must terminate");
-    let mut correct = true;
-    for group in 0..n_groups {
-        let base = group * tsub as usize;
-        let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
-        if g.blocks[0].shared[group] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, report)
-}
-
-/// [`run_scan`] under the happens-before race detector.
-pub fn run_scan_racechecked(
-    ttot: usize,
-    tsub: u32,
-    volta_sync: bool,
-    sched: Scheduler,
-) -> (BenchRun, RacecheckReport) {
-    let p = scan_kernel(tsub, volta_sync);
-    let mut g = Grid::new(1, ttot, ttot, 4, &p);
-    let (stats, report) = g
-        .run_racechecked(&p, sched, 50_000_000, RacecheckConfig::default())
-        .expect("scan kernel must terminate");
-    let mut correct = true;
-    for t in 0..ttot {
-        let expect = (t % tsub as usize + 1) as u32;
-        if g.blocks[0].shared[t] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, report)
-}
-
-/// Run the gravity flush kernel (one warp, `n_sources` pre-staged source
-/// records) under the happens-before race detector.
-pub fn run_gravity_flush_racechecked(
-    n_sources: u32,
-    eps2: f32,
-    sched: Scheduler,
-) -> (BenchRun, RacecheckReport) {
-    let p = gravity_flush_kernel(n_sources, eps2);
-    let shared_words = (4 * n_sources + 32) as usize;
-    let mut g = Grid::new(1, 32, shared_words, 4, &p);
-    // Stage the source list: entry j at (j, 2j, -j)·0.05 with mass 1+j/8.
-    for j in 0..n_sources as usize {
-        let f = j as f32;
-        g.blocks[0].shared[4 * j] = (0.05 * f).to_bits();
-        g.blocks[0].shared[4 * j + 1] = (0.10 * f).to_bits();
-        g.blocks[0].shared[4 * j + 2] = (-0.05 * f).to_bits();
-        g.blocks[0].shared[4 * j + 3] = (1.0 + f / 8.0).to_bits();
-    }
-    let (stats, report) = g
-        .run_racechecked(&p, sched, 50_000_000, RacecheckConfig::default())
-        .expect("gravity flush kernel must terminate");
-    // Every lane must have flushed a finite az to its private slot.
-    let correct = (0..32).all(|l| {
-        let az = f32::from_bits(g.blocks[0].shared[(4 * n_sources) as usize + l]);
-        az.is_finite()
-    });
-    (BenchRun { stats, correct }, report)
-}
-
 /// Build the gravity **flush** micro-kernel: every lane holds one sink
 /// particle in registers and integrates Eq. 1 over `n_sources` shared-
 /// memory list entries — the inner loop of `walkTree`, lane for lane.
@@ -555,88 +435,99 @@ fn verify_correct(g: &Grid, ttot: usize, h: f32, eps: f32) -> bool {
     })
 }
 
-/// Run the predict kernel on one block of `ttot` threads and verify
-/// against the bit-exact host reference.
-pub fn run_predict(ttot: usize, sched: Scheduler) -> BenchRun {
-    let p = predict_kernel(INTEGRATE_DT);
-    let mut g = integrate_grid(&p, ttot, 0);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("predict kernel must terminate");
-    BenchRun {
-        stats,
-        correct: verify_predict(&g, ttot, INTEGRATE_DT),
+/// Outcome of one micro-benchmark run.
+#[derive(Clone, Debug)]
+pub struct BenchRun {
+    pub stats: GridStats,
+    pub correct: bool,
+    /// Per-pipe instruction counts of the run (see [`crate::prof`]).
+    pub profile: KernelProfile,
+}
+
+/// Step budget of every micro-kernel run.
+const MAX_STEPS: u64 = 50_000_000;
+
+/// One micro-kernel launch: the program, its grid with initialised
+/// memory, and the check of that memory after the run. The plain and the
+/// racechecked runs of a kernel both go through its one launch.
+struct Launch {
+    kernel: &'static str,
+    program: Program,
+    grid: Grid,
+    verify: Box<dyn Fn(&Grid) -> bool>,
+}
+
+impl Launch {
+    fn new(
+        kernel: &'static str,
+        program: Program,
+        grid: Grid,
+        verify: impl Fn(&Grid) -> bool + 'static,
+    ) -> Self {
+        Launch {
+            kernel,
+            program,
+            grid,
+            verify: Box::new(verify),
+        }
+    }
+
+    fn run(mut self, sched: Scheduler) -> BenchRun {
+        let kernel = self.kernel;
+        let stats = self
+            .grid
+            .run(&self.program, sched, MAX_STEPS)
+            .unwrap_or_else(|e| panic!("{kernel} kernel must terminate: {e:?}"));
+        self.finish(stats)
+    }
+
+    fn run_racechecked(mut self, sched: Scheduler) -> (BenchRun, RacecheckReport) {
+        let kernel = self.kernel;
+        let (stats, report) = self
+            .grid
+            .run_racechecked(&self.program, sched, MAX_STEPS, RacecheckConfig::default())
+            .unwrap_or_else(|e| panic!("{kernel} kernel must terminate: {e:?}"));
+        (self.finish(stats), report)
+    }
+
+    fn finish(self, stats: GridStats) -> BenchRun {
+        BenchRun {
+            stats,
+            correct: (self.verify)(&self.grid),
+            profile: self.grid.profile(self.kernel),
+        }
     }
 }
 
-/// Run the correct kernel on one block of `ttot` threads and verify
-/// against the bit-exact host reference.
-pub fn run_correct(ttot: usize, sched: Scheduler) -> BenchRun {
-    const EPS: f32 = 0.125;
-    let p = correct_kernel(INTEGRATE_DT, EPS, ttot);
-    let mut g = integrate_grid(&p, ttot, ttot);
-    let stats = g
-        .run(&p, sched, 50_000_000)
-        .expect("correct kernel must terminate");
-    BenchRun {
-        stats,
-        correct: verify_correct(&g, ttot, INTEGRATE_DT, EPS),
-    }
-}
-
-/// [`run_reduction`] with per-pipe profiling, recorded as `"reduction"`.
-pub fn run_reduction_profiled(
-    ttot: usize,
-    tsub: u32,
-    volta_sync: bool,
-    sched: Scheduler,
-) -> (BenchRun, KernelProfile) {
+/// The reduction kernel on one block of `ttot` threads, checked against
+/// the per-sub-group sums.
+fn reduction(ttot: usize, tsub: u32, volta_sync: bool) -> Launch {
     let p = reduction_kernel(tsub, volta_sync);
     let n_groups = ttot / tsub as usize;
-    let mut g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "reduction")
-        .expect("reduction kernel must terminate");
-    let mut correct = true;
-    for group in 0..n_groups {
-        let base = group * tsub as usize;
-        let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
-        if g.blocks[0].shared[group] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, profile)
+    let g = Grid::new(1, ttot, n_groups.max(1), 4, &p);
+    Launch::new("reduction", p, g, move |g| {
+        (0..n_groups).all(|group| {
+            let base = group * tsub as usize;
+            let expect: u32 = (0..tsub as usize).map(|i| (base + i + 1) as u32).sum();
+            g.blocks[0].shared[group] == expect
+        })
+    })
 }
 
-/// [`run_scan`] with per-pipe profiling, recorded as `"scan"`.
-pub fn run_scan_profiled(
-    ttot: usize,
-    tsub: u32,
-    volta_sync: bool,
-    sched: Scheduler,
-) -> (BenchRun, KernelProfile) {
+/// The scan kernel on one block of `ttot` threads, checked against the
+/// inclusive prefix sums.
+fn scan(ttot: usize, tsub: u32, volta_sync: bool) -> Launch {
     let p = scan_kernel(tsub, volta_sync);
-    let mut g = Grid::new(1, ttot, ttot, 4, &p);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "scan")
-        .expect("scan kernel must terminate");
-    let mut correct = true;
-    for t in 0..ttot {
-        let expect = (t % tsub as usize + 1) as u32;
-        if g.blocks[0].shared[t] != expect {
-            correct = false;
-        }
-    }
-    (BenchRun { stats, correct }, profile)
+    let g = Grid::new(1, ttot, ttot, 4, &p);
+    Launch::new("scan", p, g, move |g| {
+        (0..ttot).all(|t| g.blocks[0].shared[t] == (t % tsub as usize + 1) as u32)
+    })
 }
 
-/// Gravity flush (one warp, `n_sources` staged records) with per-pipe
-/// profiling, recorded as `"gravity_flush"`.
-pub fn run_gravity_flush_profiled(
-    n_sources: u32,
-    eps2: f32,
-    sched: Scheduler,
-) -> (BenchRun, KernelProfile) {
+/// The gravity flush kernel on one warp over `n_sources` staged source
+/// records (entry j at (j, 2j, -j)·0.05 with mass 1+j/8); every lane must
+/// flush a finite az to its private slot.
+fn gravity_flush(n_sources: u32, eps2: f32) -> Launch {
     let p = gravity_flush_kernel(n_sources, eps2);
     let shared_words = (4 * n_sources + 32) as usize;
     let mut g = Grid::new(1, 32, shared_words, 4, &p);
@@ -647,47 +538,90 @@ pub fn run_gravity_flush_profiled(
         g.blocks[0].shared[4 * j + 2] = (-0.05 * f).to_bits();
         g.blocks[0].shared[4 * j + 3] = (1.0 + f / 8.0).to_bits();
     }
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "gravity_flush")
-        .expect("gravity flush kernel must terminate");
-    let correct = (0..32).all(|l| {
-        let az = f32::from_bits(g.blocks[0].shared[(4 * n_sources) as usize + l]);
-        az.is_finite()
-    });
-    (BenchRun { stats, correct }, profile)
+    Launch::new("gravity_flush", p, g, move |g| {
+        (0..32)
+            .all(|l| f32::from_bits(g.blocks[0].shared[(4 * n_sources) as usize + l]).is_finite())
+    })
 }
 
-/// [`run_predict`] with per-pipe profiling, recorded as `"predict"`.
-pub fn run_predict_profiled(ttot: usize, sched: Scheduler) -> (BenchRun, KernelProfile) {
+/// The predict kernel on one block of `ttot` threads, checked against the
+/// bit-exact host reference.
+fn predict(ttot: usize) -> Launch {
     let p = predict_kernel(INTEGRATE_DT);
-    let mut g = integrate_grid(&p, ttot, 0);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "predict")
-        .expect("predict kernel must terminate");
-    (
-        BenchRun {
-            stats,
-            correct: verify_predict(&g, ttot, INTEGRATE_DT),
-        },
-        profile,
-    )
+    let g = integrate_grid(&p, ttot, 0);
+    Launch::new("predict", p, g, move |g| {
+        verify_predict(g, ttot, INTEGRATE_DT)
+    })
 }
 
-/// [`run_correct`] with per-pipe profiling, recorded as `"correct"`.
-pub fn run_correct_profiled(ttot: usize, sched: Scheduler) -> (BenchRun, KernelProfile) {
+/// The correct kernel on one block of `ttot` threads, checked against the
+/// bit-exact host reference.
+fn correct(ttot: usize) -> Launch {
     const EPS: f32 = 0.125;
     let p = correct_kernel(INTEGRATE_DT, EPS, ttot);
-    let mut g = integrate_grid(&p, ttot, ttot);
-    let (stats, profile) = g
-        .run_profiled(&p, sched, 50_000_000, "correct")
-        .expect("correct kernel must terminate");
-    (
-        BenchRun {
-            stats,
-            correct: verify_correct(&g, ttot, INTEGRATE_DT, EPS),
-        },
-        profile,
-    )
+    let g = integrate_grid(&p, ttot, ttot);
+    Launch::new("correct", p, g, move |g| {
+        verify_correct(g, ttot, INTEGRATE_DT, EPS)
+    })
+}
+
+/// Run the reduction kernel on one block of `ttot` threads and verify the
+/// per-sub-group sums.
+pub fn run_reduction(ttot: usize, tsub: u32, volta_sync: bool, sched: Scheduler) -> BenchRun {
+    reduction(ttot, tsub, volta_sync).run(sched)
+}
+
+/// [`run_reduction`] under the happens-before race detector.
+pub fn run_reduction_racechecked(
+    ttot: usize,
+    tsub: u32,
+    volta_sync: bool,
+    sched: Scheduler,
+) -> (BenchRun, RacecheckReport) {
+    reduction(ttot, tsub, volta_sync).run_racechecked(sched)
+}
+
+/// Run the scan kernel on one block of `ttot` threads and verify the
+/// inclusive prefix sums.
+pub fn run_scan(ttot: usize, tsub: u32, volta_sync: bool, sched: Scheduler) -> BenchRun {
+    scan(ttot, tsub, volta_sync).run(sched)
+}
+
+/// [`run_scan`] under the happens-before race detector.
+pub fn run_scan_racechecked(
+    ttot: usize,
+    tsub: u32,
+    volta_sync: bool,
+    sched: Scheduler,
+) -> (BenchRun, RacecheckReport) {
+    scan(ttot, tsub, volta_sync).run_racechecked(sched)
+}
+
+/// Run the gravity flush kernel (one warp, `n_sources` pre-staged source
+/// records) and check that every lane flushed a finite az.
+pub fn run_gravity_flush(n_sources: u32, eps2: f32, sched: Scheduler) -> BenchRun {
+    gravity_flush(n_sources, eps2).run(sched)
+}
+
+/// [`run_gravity_flush`] under the happens-before race detector.
+pub fn run_gravity_flush_racechecked(
+    n_sources: u32,
+    eps2: f32,
+    sched: Scheduler,
+) -> (BenchRun, RacecheckReport) {
+    gravity_flush(n_sources, eps2).run_racechecked(sched)
+}
+
+/// Run the predict kernel on one block of `ttot` threads and verify
+/// against the bit-exact host reference.
+pub fn run_predict(ttot: usize, sched: Scheduler) -> BenchRun {
+    predict(ttot).run(sched)
+}
+
+/// Run the correct kernel on one block of `ttot` threads and verify
+/// against the bit-exact host reference.
+pub fn run_correct(ttot: usize, sched: Scheduler) -> BenchRun {
+    correct(ttot).run(sched)
 }
 
 #[cfg(test)]
@@ -759,13 +693,34 @@ mod tests {
     }
 
     #[test]
+    fn grid_stats_and_profile_agree_on_the_events_both_record() {
+        for sched in [Scheduler::Lockstep, Scheduler::Independent] {
+            for b in [
+                run_gravity_flush(32, 1e-4, sched),
+                run_reduction(128, 32, true, sched),
+                run_scan(128, 16, true, sched),
+                run_predict(64, sched),
+                run_correct(64, sched),
+            ] {
+                let (s, c) = (&b.stats, &b.profile.counts);
+                let what = format!("{} {sched:?}", b.profile.kernel);
+                assert!(b.correct, "{what}");
+                assert_eq!(s.syncwarps, c.syncwarps, "{what}: syncwarps");
+                assert_eq!(s.block_syncs, c.syncthreads, "{what}: block syncs");
+                assert_eq!(s.grid_syncs, c.grid_barriers, "{what}: grid barriers");
+            }
+        }
+    }
+
+    #[test]
     fn profiled_integrators_count_the_modeled_fp_mix() {
         // The IntegrateEvents mix is 6 FMA + 3 mul + 3 add per particle;
         // the measured kernels must reproduce it exactly.
         let ttot = 64u64;
-        for runner in [run_predict_profiled, run_correct_profiled] {
-            let (b, prof) = runner(ttot as usize, Scheduler::Lockstep);
+        for runner in [run_predict, run_correct] {
+            let b = runner(ttot as usize, Scheduler::Lockstep);
             assert!(b.correct);
+            let prof = &b.profile;
             assert_eq!(prof.counts.fp_fma, 6 * ttot);
             assert_eq!(prof.counts.fp_mul, 3 * ttot);
             assert_eq!(prof.counts.fp_add, 3 * ttot);
@@ -774,8 +729,8 @@ mod tests {
             assert!(prof.counts.int_ops > 0);
             assert_eq!(prof.counts.divergence_events, 0);
         }
-        let (_, pp) = run_predict_profiled(ttot as usize, Scheduler::Lockstep);
-        let (_, cp) = run_correct_profiled(ttot as usize, Scheduler::Lockstep);
+        let pp = run_predict(ttot as usize, Scheduler::Lockstep).profile;
+        let cp = run_correct(ttot as usize, Scheduler::Lockstep).profile;
         assert_eq!(pp.counts.global_st, 6 * ttot);
         assert_eq!(cp.counts.global_st, 7 * ttot, "corrector stores s too");
     }
@@ -783,25 +738,27 @@ mod tests {
     #[test]
     fn profiled_gravity_flush_counts_the_interaction_mix() {
         // Per interaction (lane × source): 6 FMA, 3 mul, 1 rsqrt, 4 shared
-        // loads. The 4 fp adds/subs per interaction share the pipe with
-        // the sink-staging loop's adds, so only a lower bound holds there.
+        // loads and 4 fp adds/subs. The sink-staging loop adds 3 more
+        // adds/subs per iteration, and lane l iterates l times.
         let n_sources = 32u64;
         let inter = 32 * n_sources;
-        let (b, prof) = run_gravity_flush_profiled(n_sources as u32, 1e-4, Scheduler::Lockstep);
+        let staging: u64 = 3 * (0..32).sum::<u64>();
+        let b = run_gravity_flush(n_sources as u32, 1e-4, Scheduler::Lockstep);
         assert!(b.correct);
+        let prof = &b.profile;
         assert_eq!(prof.counts.fp_fma, 6 * inter);
         assert_eq!(prof.counts.fp_mul, 3 * inter);
         assert_eq!(prof.counts.fp_special, inter);
         assert_eq!(prof.counts.shared_ld, 4 * inter);
-        assert!(prof.counts.fp_add >= 4 * inter);
+        assert_eq!(prof.counts.fp_add, 4 * inter + staging);
         assert_eq!(prof.warps, 1);
     }
 
     #[test]
     fn profiled_reduction_sees_shuffles_syncs_and_divergence() {
-        crate::prof::reset();
-        let (b, prof) = run_reduction_profiled(128, 32, true, Scheduler::Independent);
+        let b = run_reduction(128, 32, true, Scheduler::Independent);
         assert!(b.correct);
+        let prof = &b.profile;
         // 5 butterfly stages × 32 lanes × 4 warps.
         assert_eq!(prof.counts.shuffles, 5 * 32 * 4);
         assert!(prof.counts.syncwarps > 0);
@@ -809,10 +766,6 @@ mod tests {
         // The leader-store branch diverges each warp once.
         assert!(prof.counts.divergence_events >= 4);
         assert!(prof.counts.max_reconv_depth >= 2);
-        // The launch landed in the registry under its kernel name.
-        let agg = crate::prof::get("reduction").unwrap();
-        assert_eq!(agg.launches, 1);
-        assert_eq!(agg.counts, prof.counts);
-        crate::prof::reset();
+        assert_eq!((prof.kernel.as_str(), prof.launches), ("reduction", 1));
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The paper's §4 instruction-count model is calibrated against *measured*
 //! hardware counters (`inst_integer`, `flop_count_sp_{fma,add,mul,special}`;
-//! Fig. 6). This module is the interpreter-side analogue: an opt-in layer
-//! that counts, per kernel launch, how many lane-operations each execution
-//! pipe retired, so the analytic `gpu_model::OpCounts` mixes can be checked
-//! against what the simulated hardware actually executed.
+//! Fig. 6). This module is the interpreter-side analogue: every warp
+//! counts each instruction it retires, once, into its [`PipeCounts`], and
+//! [`crate::Grid::profile`] folds a run's warps into one
+//! [`KernelProfile`], so the analytic `gpu_model::OpCounts` mixes can be
+//! checked against what the simulated hardware actually executed.
 //!
 //! Counting conventions (all deliberate, all load-bearing for the
 //! measured-vs-modeled comparison in `gpu_model::measured`):
@@ -25,21 +26,19 @@
 //!   space (shared vs global). Byte conversion happens at the
 //!   `OpCounts` boundary (4 B per lane-transaction — every IR cell is a
 //!   `u32`).
-//! * `SyncWarp` counts per *executed instruction* (fragment granularity,
-//!   matching `Warp::syncwarps`); `SyncThreads`/`GridSync` are counted at
-//!   **barrier completion** by the grid aggregation (matching
-//!   `ThreadBlock::block_syncs` and `Grid::grid_syncs`), not per lane.
+//! * `SyncWarp` counts per *executed instruction* (fragment granularity;
+//!   `GridStats::syncwarps` is the same count); `SyncThreads`/`GridSync`
+//!   are counted at **barrier completion** by the grid aggregation
+//!   (matching `ThreadBlock::block_syncs` and `Grid::grid_syncs`), not per
+//!   lane.
 //! * `divergence_events` counts fragment splits; `max_reconv_depth` is
 //!   the high-water fragment count — how deep the divergence tree got
 //!   before reconvergence.
 
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
 use crate::ir::{Inst, Op};
 
-/// Per-pipe lane-operation counters for one kernel launch (or an
-/// aggregate over launches — see [`KernelProfile`]).
+/// Per-pipe lane-operation counters of one warp, or summed over a grid
+/// run's warps (see [`KernelProfile`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipeCounts {
     /// INT32 pipe lane-ops (ALU, shifts, compares, constants, id reads).
@@ -85,7 +84,7 @@ pub struct PipeCounts {
 }
 
 impl PipeCounts {
-    /// Merge another launch/warp into this aggregate: sums everywhere,
+    /// Merge another warp into this aggregate: sums everywhere,
     /// max for the reconvergence depth high-water mark.
     pub fn merge(&mut self, o: &PipeCounts) {
         self.int_ops += o.int_ops;
@@ -151,68 +150,17 @@ impl PipeCounts {
     }
 }
 
-/// Aggregated per-pipe counts for one kernel name.
+/// Per-pipe counts of one kernel launch.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelProfile {
-    /// Kernel name (the aggregation key in the [`registry`]).
+    /// Kernel name.
     pub kernel: String,
-    /// Launches folded into this profile.
+    /// Launches counted (one: a profile covers one grid run).
     pub launches: u64,
-    /// Warps summed over launches.
+    /// Warps of the grid.
     pub warps: u64,
-    /// Lane-operation counts summed over launches.
+    /// Lane-operation counts summed over the grid's warps.
     pub counts: PipeCounts,
-}
-
-impl KernelProfile {
-    pub fn new(kernel: &str) -> Self {
-        KernelProfile {
-            kernel: kernel.to_string(),
-            launches: 0,
-            warps: 0,
-            counts: PipeCounts::default(),
-        }
-    }
-
-    /// Fold another launch of the same kernel into this aggregate.
-    pub fn merge(&mut self, o: &KernelProfile) {
-        debug_assert_eq!(self.kernel, o.kernel, "merging different kernels");
-        self.launches += o.launches;
-        self.warps += o.warps;
-        self.counts.merge(&o.counts);
-    }
-}
-
-/// Process-wide profile registry, aggregating launches by kernel name.
-/// Profiled runs ([`crate::Grid::run_profiled`]) record here; `--profile`
-/// reporting snapshots it.
-static REGISTRY: Mutex<BTreeMap<String, KernelProfile>> = Mutex::new(BTreeMap::new());
-
-fn registry() -> std::sync::MutexGuard<'static, BTreeMap<String, KernelProfile>> {
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Fold one launch into the registry under its kernel name.
-pub fn record_launch(p: &KernelProfile) {
-    registry()
-        .entry(p.kernel.clone())
-        .and_modify(|agg| agg.merge(p))
-        .or_insert_with(|| p.clone());
-}
-
-/// Every aggregated kernel profile, sorted by kernel name.
-pub fn snapshot() -> Vec<KernelProfile> {
-    registry().values().cloned().collect()
-}
-
-/// The aggregate for one kernel name, if any launches were recorded.
-pub fn get(kernel: &str) -> Option<KernelProfile> {
-    registry().get(kernel).cloned()
-}
-
-/// Clear the registry (between runs / tests).
-pub fn reset() {
-    registry().clear();
 }
 
 #[cfg(test)]
@@ -259,23 +207,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.int_ops, 15);
         assert_eq!(a.max_reconv_depth, 7);
-    }
-
-    #[test]
-    fn registry_aggregates_by_kernel_name() {
-        reset();
-        let mut p = KernelProfile::new("unit_test_kernel");
-        p.launches = 1;
-        p.warps = 4;
-        p.counts.int_ops = 100;
-        record_launch(&p);
-        record_launch(&p);
-        let got = get("unit_test_kernel").unwrap();
-        assert_eq!(got.launches, 2);
-        assert_eq!(got.warps, 8);
-        assert_eq!(got.counts.int_ops, 200);
-        assert!(snapshot().iter().any(|k| k.kernel == "unit_test_kernel"));
-        reset();
-        assert!(get("unit_test_kernel").is_none());
     }
 }

@@ -334,6 +334,7 @@ pub mod counters {
         SIMT_SYNCWARPS => "simt.syncwarps",
         SIMT_BLOCK_SYNCS => "simt.block_syncs",
         SIMT_GRID_BARRIERS => "simt.grid_barriers",
+        // Lane-operations of warp shuffles *and* votes/ballots.
         SIMT_SHUFFLE_LANES => "simt.shuffle_lanes",
         // Racecheck hazard occurrences (simt::racecheck), by class.
         SIMT_HAZARDS_SHARED => "simt.hazards.shared",
